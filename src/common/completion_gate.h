@@ -1,10 +1,10 @@
 // Completion gate for one in-flight construct slot.
 //
-// The loop-pipeline ring (rt/team.h ChainSlot, pool/worker_pool.h
-// PoolJob::Entry) tracks per-construct completion with the same three-word
-// protocol in both runtimes; this header is its single home so the subtle
-// parts — the monotone watermark and the Dekker-paired wake — cannot
-// drift apart between copies.
+// The dispatch engine's entry ring (rt::PoolJob::Entry, rt/worker_pool.h)
+// and the GOMP work-share ring (rt/gomp_compat.cc) track per-construct
+// completion with this three-word protocol; this header is its single
+// home so the subtle parts — the monotone watermark and the Dekker-paired
+// wake — cannot drift apart between copies.
 //
 //  * `unfinished` — countdown over all participants of the construct
 //    (master included). arm() loads it, check_in() decrements.

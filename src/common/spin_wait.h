@@ -1,9 +1,9 @@
 // Spin-then-block building blocks for the fork/join fast path.
 //
-// The runtime's dispatch and completion waits (rt/team.cc) first spin with
-// CPU-relax hints — a handful of cache-coherency round-trips is orders of
-// magnitude cheaper than a futex sleep/wake when the awaited store lands
-// within microseconds — and only then fall back to a blocking
+// The runtime's dispatch and completion waits (rt/worker_pool.cc) first
+// spin with CPU-relax hints — a handful of cache-coherency round-trips is
+// orders of magnitude cheaper than a futex sleep/wake when the awaited
+// store lands within microseconds — and only then fall back to a blocking
 // std::atomic::wait (a futex on Linux). The spin must be *bounded and
 // small*: on an oversubscribed host the awaited thread needs the very CPU
 // the spinner is burning, so spinning past a few hundred pauses only delays

@@ -5,7 +5,7 @@
 // subsystem injects four failure shapes at the two seams the runtimes
 // expose for it:
 //
-//   * the worker body shim (rt/team.cc, pool/worker_pool.cc participate):
+//   * the worker body shim (rt/worker_pool.cc participate):
 //     `before_chunk(tid, begin, end)` runs before each chunk's body and can
 //     throw (exception-propagation tests) or sleep (deadline/watchdog
 //     tests);

@@ -9,18 +9,19 @@
 // true nowait overlap: a team member that drains its share of loop k flows
 // straight into loop k+1 while stragglers are still finishing loop k.
 //
-// Execution is provided by the runtime layers (rt::Team::run_chain,
-// pool::AppHandle::run_chain, rt::Runtime::run_chain) over the per-worker
-// generation docks: the chain's loops are published as consecutive dispatch
-// generations into a small ring of in-flight constructs, and each worker
-// advances through the ring locally. The master blocks only at the chain's
-// end (the implicit flush). See src/pipeline/README.md for the design note.
+// Execution is the runtime engine's one chain driver (rt::WorkerPool::
+// run_chain in rt/worker_pool.h), reached through rt::Team::run_chain,
+// pool::AppHandle::run_chain and rt::Runtime::run_chain: the chain's loops
+// are published as consecutive dock generations into a small ring of
+// in-flight entries, and each worker advances through the ring locally.
+// The master blocks only at the chain's end (the implicit flush). See
+// src/pipeline/README.md for the design note.
 #pragma once
 
 #include <vector>
 
 #include "common/types.h"
-#include "rt/team.h"
+#include "rt/worker_pool.h"
 #include "sched/schedule_spec.h"
 
 namespace aid::pipeline {

@@ -7,7 +7,6 @@
 #include "common/time_source.h"
 #include "pipeline/loop_chain.h"
 #include "rt/runtime.h"
-#include "sched/loop_scheduler.h"
 
 namespace aid::pool {
 namespace {
@@ -135,6 +134,11 @@ sched::SchedulerCache& AppHandle::scheduler_cache() {
   return *mgr_->app_of(id_).cache;
 }
 
+rt::WaitBudgets AppHandle::wait_budgets() const {
+  AID_CHECK_MSG(mgr_ != nullptr, "wait_budgets on a released app lease");
+  return mgr_->pool_.budgets();
+}
+
 const sched::ShardTopology& AppHandle::shard_topology() const {
   AID_CHECK_MSG(mgr_ != nullptr, "shard_topology on a released app lease");
   std::scoped_lock lk(mgr_->mutex_);
@@ -166,9 +170,9 @@ PoolManager& PoolManager::instance() {
 PoolManager::PoolManager(platform::Platform platform, Config config)
     : platform_(std::move(platform)),
       config_(config),
-      pool_(platform_, WorkerPool::Options{config.emulate_amp,
-                                           config.bind_threads,
-                                           config.sf_cpu_time}) {}
+      pool_(platform_,
+            {config.emulate_amp, config.bind_threads, config.sf_cpu_time},
+            rt::wait_budgets(platform_.num_cores())) {}
 
 PoolManager::~PoolManager() {
   std::scoped_lock lk(mutex_);
@@ -200,7 +204,7 @@ AppHandle PoolManager::register_app(std::string name, double weight) {
   app->cache = std::make_unique<sched::SchedulerCache>();
   if (retired_.empty()) {
     app->shared = std::make_unique<rt::SharedAllotment>();
-    app->job = std::make_unique<PoolJob>();
+    app->job = std::make_unique<rt::PoolJob>();
   } else {
     // Recycle a retired app's externally-referenced state (quiescent by
     // now: its unregister required no loop in flight).
@@ -366,224 +370,14 @@ void PoolManager::commit_idle() {
   }
 }
 
-void PoolManager::run_chain(u64 id, const pipeline::LoopChain& chain) {
-  const auto& loops = chain.loops();
-  if (loops.empty()) return;
-  const usize total = loops.size();
-  const SteadyTimeSource clock;
-  const Nanos construct_t0 = clock.now();
-
-  // Acquire the partition exactly like run_loop: the chain's entry is a
-  // loop boundary, so pending grants/revokes are adopted first.
+rt::WorkerPool::Owner PoolManager::begin_construct(u64 id) {
+  rt::WorkerPool::Owner owner;
   const platform::TeamLayout* layout = nullptr;
-  const sched::ShardTopology* topo = nullptr;
-  PoolJob* job = nullptr;
-  sched::SchedulerCache* cache = nullptr;
-  CancelToken* lease_cancel = nullptr;
   {
     std::unique_lock lk(mutex_);
     App& a = app_of(id);
     AID_CHECK_MSG(!a.in_loop,
                   "nested/concurrent run_loop/run_chain on one app lease");
-    if (a.region_depth == 0) {
-      granted_.wait(lk, [&] {
-        commit_idle();
-        return !a.current.empty();
-      });
-    }
-    AID_CHECK_MSG(!a.current.empty(), "app lease holds no cores");
-    a.in_loop = true;
-    // Re-arm the lease-wide cancel parent: one AppHandle::cancel() kills
-    // every in-flight entry of this chain (they all bind to it).
-    a.cancel_token.reset();
-    lease_cancel = &a.cancel_token;
-    layout = a.layout.get();
-    topo = a.topo.get();
-    job = a.job.get();
-    cache = a.cache.get();
-  }
-
-  // Scheduler leases live for the whole chain (stats are read at the end,
-  // and a published entry's scheduler must outlive its completion). A
-  // mid-chain repartition invalidates the cache, so leases acquired before
-  // the commit are destroyed — not repooled — when released below.
-  std::vector<sched::LoopScheduler*> scheds(total, nullptr);
-  std::vector<u64> seqs(total, 0);
-  std::vector<u64> wd_ids(total, 0);
-  usize pub = 0;      // chain entries published so far
-  usize run = 0;      // chain entries the master has participated in
-  usize flushed = 0;  // chain entries known complete (window boundary)
-  bool window_open = false;
-
-  // First error anywhere in the chain, rethrown after the lease's loop
-  // state is released. An entry's token MUST be disarmed + harvested
-  // before its ring slot is reused (the staging below resets the token)
-  // and before a repartition commit swaps the layout its watchdog dump
-  // references — so harvesting happens in entry order, at the ring-reuse
-  // point and after every flush. Entries below `harvested` are proven
-  // complete (each was either flushed or ring-reuse-guarded).
-  std::exception_ptr chain_error;
-  usize harvested = 0;
-  const auto harvest_through = [&](usize limit) {
-    for (; harvested < limit; ++harvested) {
-      if (wd_ids[harvested] != 0) {
-        watchdog_.disarm(wd_ids[harvested]);
-        wd_ids[harvested] = 0;
-      }
-      if (!chain_error)
-        chain_error = job->entry_of(seqs[harvested]).token.error();
-    }
-  };
-
-  const auto flush_published = [&] {
-    for (; flushed < pub; ++flushed) pool_.wait_entry(*job, seqs[flushed]);
-    harvest_through(pub);
-    window_open = false;
-  };
-
-  // Repartition probe, at ring-entry granularity: true when the arbiter
-  // has a new target for this app that is *adoptable right now* (and no
-  // region pins the layout). Publishing stops the moment it flips; the
-  // commit happens once the published work drains — a flowing boundary
-  // instead of a stop-the-world one between whole constructs. The
-  // adoptability check matters: a pending target whose cores a neighbour
-  // still holds must not stall the chain (the commit would be a no-op and
-  // the probe would spin), so the chain keeps flowing on its current
-  // partition until the grant materializes. The probe is lock-free in
-  // steady state: it takes the manager mutex only when the targets epoch
-  // moved since it last looked, so a chain publishing K entries does not
-  // contend K times with co-running apps' loop boundaries.
-  u64 probe_seen = targets_epoch_.load(std::memory_order_acquire) - 1;
-  bool probe_result = false;
-  const auto commit_pending = [&] {
-    if (targets_epoch_.load(std::memory_order_acquire) != probe_seen) {
-      std::scoped_lock lk(mutex_);
-      probe_seen = targets_epoch_.load(std::memory_order_relaxed);
-      App& a = app_of(id);
-      probe_result = a.region_depth == 0 && can_adopt_now(a);
-    }
-    return probe_result;
-  };
-
-  while (run < total) {
-    const bool want_commit = commit_pending();
-
-    if (!want_commit) {
-      while (pub < total) {
-        // Re-probe before every publish so a repartition posted mid-batch
-        // stops dispatch at the next entry, not after a ring-full batch.
-        if (pub != run && commit_pending()) break;
-        const u64 seq = job->next_seq;
-        // Ring reuse guard: the slot's previous occupant must be complete.
-        if (seq > PoolJob::kChainRing &&
-            !pool_.entry_complete(*job, seq - PoolJob::kChainRing))
-          break;
-        // Proven complete: disarm + harvest entry pub - kChainRing before
-        // its slot fields are rewritten below, then hand its lease back
-        // now (only the final entry's stats are read), so a long
-        // same-shape chain re-arms at most kChainRing instances.
-        if (pub >= PoolJob::kChainRing) {
-          harvest_through(pub - PoolJob::kChainRing + 1);
-          cache->release(scheds[pub - PoolJob::kChainRing]);
-          scheds[pub - PoolJob::kChainRing] = nullptr;
-        }
-        const pipeline::ChainedLoop& loop = loops[pub];
-        scheds[pub] = cache->acquire(loop.spec, loop.count, *layout, *topo);
-        PoolJob::Entry& entry = job->entry_of(seq);
-        entry.sched = scheds[pub];
-        entry.body = &loop.body;
-        // Dependency edges point at earlier entries; `completed` is
-        // monotone, so an edge into an already-drained window is a no-op
-        // wait rather than a stale one.
-        entry.dep_seq =
-            loop.depends_on >= 0 ? seqs[static_cast<usize>(loop.depends_on)]
-                                 : 0;
-        // Re-own the slot token for the new occupant (harvested above or
-        // never used) and chain it to the entry's spec token plus the
-        // lease-wide cancel parent.
-        entry.token.reset();
-        entry.token.bind(loop.spec.cancel, lease_cancel);
-        entry.gate.arm(layout->nthreads(), seq);
-        if (loop.spec.deadline_ns > 0)
-          wd_ids[pub] = watchdog_.arm(
-              &entry.token, &entry.gate, seq, loop.spec.deadline_ns,
-              "pool chain entry",
-              pool_.make_watchdog_dump(*layout, *scheds[pub], seq));
-        if (!window_open) {
-          pool_.open_window(*layout, *job, seq);
-          window_open = true;
-        }
-        job->next_seq = seq + 1;
-        seqs[pub] = seq;
-        pool_.publish_entry(*layout);
-        ++pub;
-      }
-    }
-
-    if (run < pub) {
-      // The master works through its own shares in chain order; workers
-      // flow ahead through everything already published.
-      pool_.run_entry_master(*layout, *job, seqs[run]);
-      ++run;
-    } else if (want_commit) {
-      // Every published entry has the master's participation; drain them,
-      // then adopt the pending partition at this ring-entry boundary and
-      // continue the chain on the new cores.
-      flush_published();
-      std::unique_lock lk(mutex_);
-      App& a = app_of(id);
-      a.in_loop = false;
-      granted_.notify_all();
-      granted_.wait(lk, [&] {
-        commit_idle();
-        return !a.current.empty();
-      });
-      a.in_loop = true;
-      layout = a.layout.get();
-      topo = a.topo.get();
-    } else {
-      // Ring full and nothing left for the master to run: wait for the
-      // oldest in-flight entry (the workers are draining it).
-      pool_.wait_entry(*job, job->next_seq - PoolJob::kChainRing);
-    }
-  }
-
-  // Chain-end flush: the only full join of the chain (pub == total here,
-  // so it also disarms + harvests every remaining entry).
-  flush_published();
-
-  const sched::SchedulerStats stats = scheds[total - 1]->stats();
-  for (sched::LoopScheduler* s : scheds)
-    if (s != nullptr) cache->release(s);
-
-  {
-    std::scoped_lock lk(mutex_);
-    App& a = app_of(id);
-    a.last_stats = stats;
-    a.lease_stats.chains += 1;
-    a.lease_stats.busy_ns += clock.now() - construct_t0;
-    a.in_loop = false;
-    if (a.region_depth == 0) commit_idle();
-    granted_.notify_all();
-  }
-  // Lease state released FIRST, rethrow LAST (same contract as run_loop).
-  if (chain_error) std::rethrow_exception(chain_error);
-}
-
-void PoolManager::run_loop(u64 id, i64 count, const sched::ScheduleSpec& spec,
-                           const rt::RangeBody& body) {
-  const SteadyTimeSource clock;
-  const Nanos construct_t0 = clock.now();
-  const platform::TeamLayout* layout = nullptr;
-  const sched::ShardTopology* topo = nullptr;
-  PoolJob* job = nullptr;
-  sched::SchedulerCache* cache = nullptr;
-  CancelToken* lease_cancel = nullptr;
-  {
-    std::unique_lock lk(mutex_);
-    App& a = app_of(id);
-    AID_CHECK_MSG(!a.in_loop,
-                  "nested/concurrent run_loop on one app lease");
     if (a.region_depth == 0) {
       // The loop boundary: adopt pending grants/revokes (the wait's
       // predicate runs before blocking), and if every one of our granted
@@ -596,41 +390,101 @@ void PoolManager::run_loop(u64 id, i64 count, const sched::ScheduleSpec& spec,
     }
     AID_CHECK_MSG(!a.current.empty(), "app lease holds no cores");
     a.in_loop = true;
-    // Re-arm the lease-wide cancel parent for this construct (no loop was
-    // in flight, so nobody reads it concurrently with the reset).
+    // Re-arm the lease-wide cancel parent for this construct (no construct
+    // was in flight, so nobody reads it concurrently with the reset); one
+    // AppHandle::cancel() then kills every in-flight entry of it.
     a.cancel_token.reset();
-    lease_cancel = &a.cancel_token;
+    // Shard membership follows the partition: the topology (rebuilt in
+    // adopt() alongside the layout) matches whatever partition this
+    // boundary committed, and the cache was invalidated if it moved — so a
+    // cache hit always re-arms an instance built for the current layout.
+    owner = {a.job.get(), a.cache.get(), a.topo.get(), &a.cancel_token,
+             &watchdog_};
     layout = a.layout.get();
-    topo = a.topo.get();
-    job = a.job.get();
-    cache = a.cache.get();
   }
+  // Outside the mutex: opening a window may bind the calling thread (a
+  // lease may be driven by different threads over its lifetime).
+  pool_.open_window(*layout, *owner.job);
+  return owner;
+}
 
-  // Shard membership follows the partition: the topology (rebuilt in
-  // adopt() alongside the layout) matches whatever partition this loop
-  // boundary committed, and the cache was invalidated if it moved — so a
-  // cache hit always re-arms an instance built for the current layout.
-  sched::LoopScheduler* scheduler = cache->acquire(spec, count, *layout,
-                                                   *topo);
+void PoolManager::end_construct(u64 id, const sched::SchedulerStats& stats,
+                                Nanos busy_ns, bool chain) {
+  std::scoped_lock lk(mutex_);
+  App& a = app_of(id);
+  a.last_stats = stats;
+  (chain ? a.lease_stats.chains : a.lease_stats.loops) += 1;
+  a.lease_stats.busy_ns += busy_ns;
+  a.in_loop = false;
+  if (a.region_depth == 0) commit_idle();
+  granted_.notify_all();
+}
+
+void PoolManager::run_loop(u64 id, i64 count, const sched::ScheduleSpec& spec,
+                           const rt::RangeBody& body) {
+  const SteadyTimeSource clock;
+  const Nanos t0 = clock.now();
+  const rt::WorkerPool::Owner owner = begin_construct(id);
+  sched::SchedulerStats stats;
   const std::exception_ptr error =
-      pool_.run_loop(*layout, count, *scheduler, body, *job, spec.cancel,
-                     lease_cancel, &watchdog_, spec.deadline_ns);
-
-  const sched::SchedulerStats stats = scheduler->stats();
-  cache->release(scheduler);
-
-  {
-    std::scoped_lock lk(mutex_);
-    App& a = app_of(id);
-    a.last_stats = stats;
-    a.lease_stats.loops += 1;
-    a.lease_stats.busy_ns += clock.now() - construct_t0;
-    a.in_loop = false;
-    if (a.region_depth == 0) commit_idle();
-    granted_.notify_all();
-  }
+      pool_.run_loop(owner, count, spec, body, stats);
+  end_construct(id, stats, clock.now() - t0, /*chain=*/false);
   // Lease state released FIRST, rethrow LAST: a thrown body leaves the
   // lease reusable (subsequent loops work) and co-tenants unaffected.
+  if (error) std::rethrow_exception(error);
+}
+
+void PoolManager::run_chain(u64 id, const pipeline::LoopChain& chain) {
+  if (chain.empty()) return;
+  const SteadyTimeSource clock;
+  const Nanos t0 = clock.now();
+  rt::WorkerPool::Owner owner = begin_construct(id);
+
+  // The between-entries hook: repartitions commit at ring-entry
+  // granularity. `pending` is true when the arbiter has a new target for
+  // this app that is *adoptable right now* (and no region pins the
+  // layout); the driver then stops publishing, drains the published
+  // entries and calls `commit` — a flowing boundary instead of a
+  // stop-the-world one between whole constructs. A pending target whose
+  // cores a neighbour still holds must not stall the chain (the commit
+  // would be a no-op and the probe would spin), so the chain keeps flowing
+  // on its current partition until the grant materializes. The probe is
+  // lock-free in steady state: it takes the manager mutex only when the
+  // targets epoch moved since it last looked.
+  u64 probe_seen = targets_epoch_.load(std::memory_order_acquire) - 1;
+  bool probe_result = false;
+  rt::WorkerPool::ChainHook hook;
+  hook.pending = [&] {
+    if (targets_epoch_.load(std::memory_order_acquire) != probe_seen) {
+      std::scoped_lock lk(mutex_);
+      probe_seen = targets_epoch_.load(std::memory_order_relaxed);
+      const App& a = app_of(id);
+      probe_result = a.region_depth == 0 && can_adopt_now(a);
+    }
+    return probe_result;
+  };
+  hook.commit = [&](rt::WorkerPool::Owner& o) {
+    const platform::TeamLayout* layout = nullptr;
+    {
+      std::unique_lock lk(mutex_);
+      App& a = app_of(id);
+      a.in_loop = false;
+      granted_.notify_all();
+      granted_.wait(lk, [&] {
+        commit_idle();
+        return !a.current.empty();
+      });
+      a.in_loop = true;
+      layout = a.layout.get();
+      o.topo = a.topo.get();
+    }
+    pool_.open_window(*layout, *o.job);
+  };
+
+  sched::SchedulerStats stats;
+  const std::exception_ptr error = pool_.run_chain(owner, chain, &hook, stats);
+  end_construct(id, stats, clock.now() - t0, /*chain=*/true);
+  // Lease state released FIRST, rethrow LAST (same contract as run_loop).
   if (error) std::rethrow_exception(error);
 }
 

@@ -7,9 +7,10 @@
 // consume it unchanged. The manager arbitrates cores across apps with a
 // pool::Policy and *repartitions dynamically*: targets are recomputed on
 // every registration/unregistration/policy change, and each app adopts its
-// new allotment at a loop boundary (or immediately while idle). Thanks to
-// the worker pool's generation-dock dispatch, a revoked core involves no
-// thread teardown — its worker just stops receiving that app's jobs.
+// new allotment at a loop boundary (or immediately while idle). Execution
+// runs on the runtime's dispatch engine (rt/worker_pool.h, shared with
+// rt::Team): a revoked core involves no thread teardown — its worker just
+// stops receiving that app's jobs.
 //
 // The Sec. 4.3 shared-region view is exposed per app: a SharedAllotment
 // (rt/os_bridge.h seqlock) that the manager publishes {threads_on_big}
@@ -31,10 +32,9 @@
 #include "platform/platform.h"
 #include "platform/team_layout.h"
 #include "pool/policy.h"
-#include "pool/worker_pool.h"
 #include "rt/os_bridge.h"
-#include "rt/team.h"
 #include "rt/watchdog.h"
+#include "rt/worker_pool.h"
 #include "sched/schedule_spec.h"
 #include "sched/scheduler_cache.h"
 #include "sched/shard_topology.h"
@@ -92,7 +92,8 @@ class AppHandle {
                 const rt::RangeBody& body);
 
   /// Execute a chain of loops with nowait semantics on the leased
-  /// partition (see rt::Team::run_chain): partition members flow from loop
+  /// partition (the engine's one chain driver, as for rt::Team::run_chain):
+  /// partition members flow from loop
   /// k to loop k+1 without an inter-construct barrier, and pending
   /// repartitions are committed *between ring entries* — the chain drains
   /// its published loops, adopts the new partition, and continues — rather
@@ -143,6 +144,10 @@ class AppHandle {
   /// begin_region(): hold it only while a loop or region pins the
   /// partition.
   [[nodiscard]] const sched::ShardTopology& shard_topology() const;
+
+  /// Spin/yield budgets of the shared engine's waits (sized for the
+  /// platform's core count); the GOMP surface waits with the same.
+  [[nodiscard]] rt::WaitBudgets wait_budgets() const;
 
   /// Cancel the construct currently in flight on this lease (run_loop or
   /// every in-flight entry of a run_chain), cooperatively: participants
@@ -242,7 +247,7 @@ class PoolManager {
     // reference reads a recycled seqlock (possibly a later app's
     // allotment, epochs still monotonic), not freed memory.
     std::unique_ptr<rt::SharedAllotment> shared;
-    std::unique_ptr<PoolJob> job;
+    std::unique_ptr<rt::PoolJob> job;
     sched::SchedulerStats last_stats;
     LeaseStats lease_stats;  ///< accumulated at every construct's exit
     /// The lease-wide cancellation parent (AppHandle::cancel): every
@@ -256,7 +261,7 @@ class PoolManager {
   /// the peak concurrent app count under register/release churn.
   struct Retired {
     std::unique_ptr<rt::SharedAllotment> shared;
-    std::unique_ptr<PoolJob> job;
+    std::unique_ptr<rt::PoolJob> job;
   };
 
   App& app_of(u64 id);
@@ -275,6 +280,15 @@ class PoolManager {
   /// shrinks free cores, which lets subsequent grows succeed.
   void commit_idle();
 
+  /// A construct's entry — the loop boundary: adopt pending grants (waiting
+  /// while a draining neighbour still holds every granted core), mark the
+  /// app in flight, re-arm its cancel parent and open the engine window on
+  /// its partition.
+  rt::WorkerPool::Owner begin_construct(u64 id);
+  /// A construct's exit: record stats and usage, clear in-flight, commit.
+  void end_construct(u64 id, const sched::SchedulerStats& stats,
+                     Nanos busy_ns, bool chain);
+
   void run_loop(u64 id, i64 count, const sched::ScheduleSpec& spec,
                 const rt::RangeBody& body);
   void run_chain(u64 id, const pipeline::LoopChain& chain);
@@ -286,13 +300,13 @@ class PoolManager {
   std::condition_variable granted_;  ///< signaled when cores are released
   // apps_/retired_ are declared BEFORE pool_ deliberately: destruction
   // runs in reverse, so ~WorkerPool joins every worker before any PoolJob
-  // is freed. A worker's last act on an entry is the completion gate's
-  // check_in (an atomic read of the waiters word can still be in flight
-  // when the master's wait returns) — freeing the job before the join is
-  // a use-after-free the CI tsan leg catches.
+  // is freed (rt::Team follows the same rule). A worker's last act on an
+  // entry is the completion gate's check_in (an atomic read of the waiters
+  // word can still be in flight when the master's wait returns) — freeing
+  // the job before the join is a use-after-free the CI tsan leg catches.
   std::map<u64, std::unique_ptr<App>> apps_;  // keyed by registration order
   std::vector<Retired> retired_;
-  WorkerPool pool_;
+  rt::WorkerPool pool_;
   /// Deadline watchdog shared by every lease (lazy thread; armed only for
   /// deadline'd specs). Declared after pool_ so it is destroyed FIRST:
   /// its monitor thread may read entry gates/tokens inside PoolJobs,
@@ -302,7 +316,7 @@ class PoolManager {
   u64 allotment_epoch_ = 0;  ///< bumps on every adoption that changed cores
   /// Bumps (under mutex_) whenever targets are recomputed or any app's
   /// partition moves — everything that can change can_adopt_now() for
-  /// anybody. Lets run_chain's per-entry commit probe stay lock-free
+  /// anybody. Lets the chain hook's per-entry commit probe stay lock-free
   /// until something actually happened.
   std::atomic<u64> targets_epoch_{0};
 };

@@ -6,9 +6,7 @@
 
 #include "common/check.h"
 #include "common/completion_gate.h"
-#include "common/env.h"
 #include "common/padded.h"
-#include "common/spin_wait.h"
 #include "rt/runtime.h"
 #include "sched/iteration_space.h"
 #include "sched/loop_scheduler.h"
@@ -19,30 +17,9 @@ namespace aid::rt::gomp {
 namespace {
 
 /// Work shares the region's generation ring holds in flight: how far a
-/// run-ahead thread may flow past the team's slowest straggler, exactly
-/// like a LoopChain over Team's ring. Same depth, same reuse discipline.
-constexpr u64 kRing = Team::kChainRing;
-
-/// Spin/yield budgets for the region's gate waits, mirroring Team's. The
-/// environment *overrides* are latched once (mid-process env mutation is
-/// not a supported configuration channel, and re-reading per region fork
-/// would put two getenv+parse calls on the fast path the gomp_chain=
-/// bench family times); the nthreads-dependent defaults are recomputed
-/// per region, because under AID_POOL the leased partition — and so the
-/// region's team size — changes across adoptions.
-struct WaitBudgets {
-  i32 spin;
-  i32 yield;
-};
-
-WaitBudgets region_budgets(int nthreads) {
-  static const i64 spin_override = env::get_int("AID_FORKJOIN_SPIN", -1);
-  static const i64 yield_override = env::get_int("AID_FORKJOIN_YIELD", -1);
-  return {spin_override >= 0 ? static_cast<i32>(spin_override)
-                             : default_spin_budget(nthreads),
-          yield_override >= 0 ? static_cast<i32>(yield_override)
-                              : default_yield_budget(nthreads)};
-}
+/// run-ahead thread may flow past the team's slowest straggler — the
+/// engine's ring depth, with the same reuse discipline as a LoopChain.
+constexpr u64 kRing = PoolJob::kChainRing;
 
 /// One ring slot of the region's work-share chain. A work share is
 /// identified by its *sequence* (1-based count of constructs the team has
@@ -80,14 +57,13 @@ struct WorkShareSlot {
 struct GompTeamState {
   GompTeamState(int nthreads, const platform::TeamLayout& team_layout,
                 sched::SchedulerCache& sched_cache,
-                const sched::ShardTopology& team_topo)
+                const sched::ShardTopology& team_topo, WaitBudgets waits)
       : barrier(nthreads),
         team_size(nthreads),
         layout(&team_layout),
         topo(&team_topo),
         cache(&sched_cache),
-        spin_budget(region_budgets(nthreads).spin),
-        yield_budget(region_budgets(nthreads).yield) {}
+        budgets(waits) {}
 
   /// The region's work-share generation ring (see WorkShareSlot).
   std::array<WorkShareSlot, kRing> ring;
@@ -104,8 +80,9 @@ struct GompTeamState {
   /// The runtime's per-shape scheduler cache (team- or lease-owned): work
   /// shares re-arm cached instances instead of allocating per construct.
   sched::SchedulerCache* cache = nullptr;
-  i32 spin_budget = 0;
-  i32 yield_budget = 0;
+  /// The owning engine's wait budgets (the region's waiters are its
+  /// threads), latched at its construction.
+  WaitBudgets budgets;
 
   [[nodiscard]] WorkShareSlot& slot_of(u64 seq) { return ring[seq % kRing]; }
 };
@@ -150,7 +127,7 @@ void aid_gomp_parallel(void (*fn)(void*), void* data, unsigned num_threads) {
                 "libaid teams are fixed at startup; pass 0 threads");
 
   GompTeamState state(layout.nthreads(), layout, rt.scheduler_cache(),
-                      rt.shard_topology());
+                      rt.shard_topology(), rt.wait_budgets());
   // Every team member executes fn exactly once: one canonical iteration per
   // thread via round-robin static chunks of size 1.
   rt.run_loop(layout.nthreads(), sched::ScheduleSpec::static_chunked(1),
@@ -202,7 +179,7 @@ bool aid_gomp_loop_runtime_start(long start, long end, long incr,
     // kRing leases outstanding and lets long nowait chains run entirely
     // on re-armed instances.
     if (prev != 0) {
-      slot.done.wait(prev, state.spin_budget, state.yield_budget);
+      slot.done.wait(prev, state.budgets.spin, state.budgets.yield);
       state.cache->release(slot.sched);
     }
     sched::IterationSpace space(start, end, incr);
@@ -220,7 +197,7 @@ bool aid_gomp_loop_runtime_start(long start, long end, long incr,
   }
   // Everyone (winner included) enters through the publication watermark:
   // its acquire read orders the staged fields above.
-  slot.published.wait(seq, state.spin_budget, state.yield_budget);
+  slot.published.wait(seq, state.budgets.spin, state.budgets.yield);
 
   tls.current = &slot;
   tls.shard = slot.sched->home_shard_of(tls.tid);
@@ -271,7 +248,7 @@ void aid_gomp_loop_end() {
   WorkShareSlot& slot = *tls.current;
   const u64 seq = tls.sequence;
   finish_workshare();
-  slot.done.wait(seq, tls.state->spin_budget, tls.state->yield_budget);
+  slot.done.wait(seq, tls.state->budgets.spin, tls.state->budgets.yield);
 }
 
 void aid_gomp_loop_end_nowait() { finish_workshare(); }

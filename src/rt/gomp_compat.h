@@ -33,8 +33,9 @@
 // Nowait chaining: consecutive work shares inside a region execute over a
 // generation ring of in-flight constructs (the loop-pipeline design,
 // src/pipeline/), so after aid_gomp_loop_end_nowait() a thread flows
-// straight into the next work share — up to Team::kChainRing constructs
-// past the team's slowest straggler — exactly like a native LoopChain.
+// straight into the next work share — up to PoolJob::kChainRing (the
+// engine's one ring depth) constructs past the team's slowest straggler —
+// exactly like a native LoopChain.
 // aid_gomp_loop_end() barriers on its construct's completion gate, and
 // the region end is the chain-end flush. Per-construct schedulers come
 // re-armed from the runtime's per-shape SchedulerCache. Design note:

@@ -105,6 +105,11 @@ const sched::ShardTopology& Runtime::shard_topology() const {
   return team_->shard_topology();
 }
 
+WaitBudgets Runtime::wait_budgets() const {
+  if (lease_ != nullptr) return lease_->wait_budgets();
+  return team_->wait_budgets();
+}
+
 const platform::TeamLayout& Runtime::enter_region() {
   if (lease_ != nullptr) return lease_->begin_region();
   return team_->layout();

@@ -121,6 +121,10 @@ class Runtime {
   /// while a region pins the layout.
   [[nodiscard]] const sched::ShardTopology& shard_topology() const;
 
+  /// Spin/yield budgets of the owning engine's waits (the team's, or the
+  /// shared pool's); the GOMP work-share ring waits with the same.
+  [[nodiscard]] WaitBudgets wait_budgets() const;
+
   [[nodiscard]] bool uses_pool() const { return lease_ != nullptr; }
 
   /// The private team (non-pool mode only; CHECK-fails under AID_POOL=1 —

@@ -93,8 +93,9 @@ class LoopScheduler {
 [[nodiscard]] std::unique_ptr<LoopScheduler> make_scheduler(
     const ScheduleSpec& spec, i64 count, const platform::TeamLayout& layout);
 
-/// Shard-aware overload: the runtime (Team / WorkerPool / GOMP surface)
-/// passes a ShardTopology derived from the executing layout, giving every
+/// Shard-aware overload: the runtime (the rt::WorkerPool engine under Team
+/// and leases, and the GOMP surface) passes a ShardTopology derived from
+/// the executing layout, giving every
 /// pool-backed scheduler a per-core-type sharded pool with cluster-local
 /// takes (sharded_work_share.h).
 [[nodiscard]] std::unique_ptr<LoopScheduler> make_scheduler(

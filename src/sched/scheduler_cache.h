@@ -45,10 +45,10 @@ namespace aid::sched {
 
 class SchedulerCache {
  public:
-  /// Idle instances retained per ScheduleSpec shape. Matches the runtime
-  /// chain rings (rt::Team::kChainRing / pool::PoolJob::kChainRing): a
-  /// chain can keep that many same-shape constructs in flight, each
-  /// needing a live instance.
+  /// Idle instances retained per ScheduleSpec shape. Bounds the runtime's
+  /// ring depth (rt::PoolJob::kChainRing; static_assert in
+  /// rt/worker_pool.h): a chain can keep that many same-shape constructs in
+  /// flight, each needing a live instance.
   static constexpr usize kInstancesPerShape = 8;
 
   SchedulerCache() = default;

@@ -5,17 +5,21 @@
 // every canonical iteration executes 0 or 1 times — never twice — the
 // construct always returns, and the runtime stays fully usable afterwards.
 //
-// Covers the failure-domain satellite checklist: cancel from another
-// thread, deadline expiry mid-chain cancelling the entry AND its
-// dependents (but not independent entries), chain-wide tokens via
+// Covers: cancel from another thread, deadline expiry mid-chain cancelling
+// the entry AND its dependents (but not independent entries), a throwing
+// chain entry (rethrown once, after the flush), chain-wide tokens via
 // LoopChain::bind_cancel and the Runtime overloads, AppHandle::cancel,
 // cancellation racing repartition commits, and co-tenant survival (one
-// app's failures never corrupt or wedge its neighbour's lease).
+// app's failures never corrupt or wedge its neighbour's lease). The chain
+// cases run on both owners of the dispatch engine: Team and a lease.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -165,10 +169,126 @@ TEST(CancelStress, ThrowingBodySurfacesOnMasterAndCancelsPeers) {
   after.expect_exactly_once();
 }
 
-// --- team: chains ----------------------------------------------------------
+// --- chains, on both owners of the dispatch engine -------------------------
 
-TEST(CancelStress, DeadlineExpiryMidChainCancelsEntryAndDependents) {
-  rt::Team team = make_team(2);
+/// A chain owner: an rt::Team, or a pool::PoolManager lease. Both drive the
+/// engine's one chain driver, so every chain failure case runs on both.
+struct OwnerCase {
+  const char* name;
+  bool lease;
+  int threads;  ///< team size, or the leased partition's core count
+};
+
+class ChainOwner {
+ public:
+  explicit ChainOwner(const OwnerCase& c) {
+    if (!c.lease) {
+      team_ = std::make_unique<rt::Team>(platform::generic_amp(2, 2, 2.0),
+                                         c.threads,
+                                         platform::Mapping::kBigFirst,
+                                         /*emulate_amp=*/false);
+      return;
+    }
+    // A lone app leases a whole (threads - threads/2)S + (threads/2)B
+    // machine; a single-core partition needs a second app to split 1S+1B.
+    const int big = c.threads > 1 ? c.threads / 2 : 1;
+    mgr_ = std::make_unique<pool::PoolManager>(
+        platform::generic_amp(c.threads > 1 ? c.threads - big : 1, big, 2.0),
+        pool_config());
+    lease_ = mgr_->register_app("owner");
+    if (c.threads == 1) ballast_ = mgr_->register_app("ballast");
+    EXPECT_EQ(lease_.nthreads(), c.threads);
+  }
+
+  void run_chain(const LoopChain& chain) {
+    if (team_ != nullptr)
+      team_->run_chain(chain);
+    else
+      lease_.run_chain(chain);
+  }
+
+ private:
+  std::unique_ptr<rt::Team> team_;
+  // Declared before the leases: they unregister before the manager dies.
+  std::unique_ptr<pool::PoolManager> mgr_;
+  pool::AppHandle lease_;
+  pool::AppHandle ballast_;
+};
+
+std::string owner_name(const ::testing::TestParamInfo<OwnerCase>& info) {
+  return info.param.name;
+}
+
+void PrintTo(const OwnerCase& c, std::ostream* os) { *os << c.name; }
+
+class ChainThrow : public ::testing::TestWithParam<OwnerCase> {};
+
+TEST_P(ChainThrow, ThrowingEntryRethrowsOnceAfterTheFlush) {
+  // Entry 2 throws at iteration 0 and entry 3 depends on it; the chain is
+  // long enough that the ring reuses entry 2's slot twice, so the error
+  // must be harvested before that reuse resets the slot's token.
+  ChainOwner owner(GetParam());
+  constexpr usize kLoops = 3 * rt::PoolJob::kChainRing + 1;
+  constexpr i64 kCount = 1024;
+  constexpr usize kThrows = 2;
+  constexpr usize kDependent = 3;
+  std::vector<HitCounts> hits;
+  hits.reserve(kLoops);
+  for (usize l = 0; l < kLoops; ++l) hits.emplace_back(kCount);
+
+  LoopChain chain;
+  for (usize l = 0; l < kLoops; ++l) {
+    const rt::RangeBody inner = hits[l].body();
+    rt::RangeBody body = inner;
+    if (l == kThrows)
+      body = [inner](i64 b, i64 e, const rt::WorkerInfo& w) {
+        if (b == 0) throw std::runtime_error("entry 2");
+        inner(b, e, w);
+      };
+    chain.add(kCount, ScheduleSpec::dynamic(16), std::move(body),
+              l == kDependent ? static_cast<int>(kThrows) : -1);
+  }
+
+  int rethrown = 0;
+  try {
+    owner.run_chain(chain);
+  } catch (const std::runtime_error& e) {
+    ++rethrown;
+    EXPECT_STREQ(e.what(), "entry 2");
+    // Rethrown after the chain-end flush: every other entry already ran.
+    for (usize l = 0; l < kLoops; ++l)
+      if (l != kThrows && l != kDependent) hits[l].expect_exactly_once();
+  }
+  EXPECT_EQ(rethrown, 1);
+  hits[kThrows].expect_at_most_once();
+  EXPECT_EQ(hits[kThrows].hits[0].load(), 0);  // the throwing chunk
+  EXPECT_EQ(hits[kDependent].executed(), 0);   // cancelled through the edge
+
+  // The ring is healthy afterwards: a clean chain covers exactly once.
+  std::vector<HitCounts> after;
+  after.reserve(kLoops);
+  for (usize l = 0; l < kLoops; ++l) after.emplace_back(kCount);
+  LoopChain clean;
+  for (usize l = 0; l < kLoops; ++l)
+    clean.add(kCount, ScheduleSpec::dynamic(16), after[l].body(),
+              l == kDependent ? static_cast<int>(kThrows) : -1);
+  owner.run_chain(clean);
+  for (auto& h : after) h.expect_exactly_once();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Owners, ChainThrow,
+    ::testing::Values(OwnerCase{"team1", false, 1},
+                      OwnerCase{"team2", false, 2},
+                      OwnerCase{"team4", false, 4},
+                      OwnerCase{"lease4", true, 4},
+                      OwnerCase{"lease1", true, 1}),
+    owner_name);
+
+class ChainCancel : public ::testing::TestWithParam<OwnerCase> {};
+
+TEST_P(ChainCancel, DeadlineExpiryMidChainCancelsEntryAndDependents) {
+  ChainOwner owner(GetParam());
   constexpr i64 kFast = 3001;
   constexpr i64 kSlow = 1 << 12;  // 256 chunks x 1ms >> the 40ms deadline
   HitCounts a(kFast), b(kSlow), c(kFast), d(kFast);
@@ -181,7 +301,7 @@ TEST(CancelStress, DeadlineExpiryMidChainCancelsEntryAndDependents) {
                 b.slow_body(std::chrono::microseconds(1000)), ia);
   chain.add(kFast, ScheduleSpec::dynamic(7), c.body(), ib);  // dependent
   chain.add(kFast, ScheduleSpec::static_even(), d.body());   // independent
-  team.run_chain(chain);
+  owner.run_chain(chain);
 
   a.expect_exactly_once();  // upstream of the failure: untouched
   b.expect_at_most_once();  // deadline landed mid-loop
@@ -194,12 +314,12 @@ TEST(CancelStress, DeadlineExpiryMidChainCancelsEntryAndDependents) {
   HitCounts after(kFast);
   LoopChain clean;
   clean.add(kFast, ScheduleSpec::dynamic(7), after.body());
-  team.run_chain(clean);
+  owner.run_chain(clean);
   after.expect_exactly_once();
 }
 
-TEST(CancelStress, ChainWideTokenKillsInFlightAndUnpublishedEntries) {
-  rt::Team team = make_team(2);
+TEST_P(ChainCancel, ChainWideTokenKillsInFlightAndUnpublishedEntries) {
+  ChainOwner owner(GetParam());
   constexpr i64 kCount = 1 << 11;  // 128 chunks x 1ms = ~64ms+ per entry
   constexpr usize kLoops = 6;
   std::vector<HitCounts> hits;
@@ -217,7 +337,7 @@ TEST(CancelStress, ChainWideTokenKillsInFlightAndUnpublishedEntries) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     token.cancel();
   });
-  team.run_chain(chain);
+  owner.run_chain(chain);
   killer.join();
 
   i64 total = 0;
@@ -227,6 +347,11 @@ TEST(CancelStress, ChainWideTokenKillsInFlightAndUnpublishedEntries) {
   }
   EXPECT_LT(total, static_cast<i64>(kLoops) * kCount);
 }
+
+INSTANTIATE_TEST_SUITE_P(Owners, ChainCancel,
+                         ::testing::Values(OwnerCase{"team", false, 2},
+                                           OwnerCase{"lease", true, 2}),
+                         owner_name);
 
 TEST(CancelStress, RuntimeOverloadsBindTokenAndDeadline) {
   rt::RuntimeConfig config;

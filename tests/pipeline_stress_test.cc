@@ -160,7 +160,7 @@ TEST(PipelineStress, FourLoopChainsUnderPolicyChurn) {
 // the moment the reuse guard proves its slot's previous occupant
 // complete), with a policy-churning arbiter landing commits mid-chain.
 TEST(PipelineStress, LongSameShapeChainReusesRingAndCacheOnLease) {
-  constexpr usize kLoops = 3 * pool::PoolJob::kChainRing + 1;
+  constexpr usize kLoops = 3 * rt::PoolJob::kChainRing + 1;
   constexpr i64 kCount = 257;
   PoolManager mgr(platform::generic_amp(4, 4, 3.0), test_config());
 

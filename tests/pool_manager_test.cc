@@ -15,6 +15,8 @@
 #include <set>
 #include <vector>
 
+#include "common/env.h"
+#include "common/spin_wait.h"
 #include "pipeline/loop_chain.h"
 #include "platform/platform.h"
 #include "pool/policy.h"
@@ -119,6 +121,19 @@ TEST(PoolManager, SingleAppLeasesWholeMachine) {
   EXPECT_EQ(app.allotment().threads_on_small, 4);
   run_exactly_once(app, 501, ScheduleSpec::dynamic(3));
   run_exactly_once(app, 501, ScheduleSpec::aid_static(1));
+}
+
+TEST(PoolManager, WaitBudgetsFollowThePlatformCoreCount) {
+  // The shared engine's waits are sized for the whole platform, whatever
+  // partition a lease holds (here 4 of 8 cores).
+  if (env::get("AID_FORKJOIN_SPIN") || env::get("AID_FORKJOIN_YIELD"))
+    GTEST_SKIP() << "wait-budget overrides set in the environment";
+  PoolManager mgr(platform::generic_amp(4, 4, 3.0), test_config());
+  AppHandle a = mgr.register_app("a");
+  AppHandle b = mgr.register_app("b");
+  EXPECT_EQ(a.nthreads(), 4);
+  EXPECT_EQ(a.wait_budgets().spin, default_spin_budget(8));
+  EXPECT_EQ(a.wait_budgets().yield, default_yield_budget(8));
 }
 
 TEST(PoolManager, SingleCorePartitionRunsSerially) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/spin_wait.h"
 #include "rt/runtime.h"
 #include "rt/runtime_config.h"
 #include "rt/team.h"
@@ -95,6 +96,25 @@ TEST(Team, SingleThreadTeam) {
   team.run_loop(100, ScheduleSpec::aid_dynamic(1, 5),
                 [&](i64 b, i64 e, const WorkerInfo&) { n.fetch_add(e - b); });
   EXPECT_EQ(n.load(), 100);
+}
+
+TEST(Team, WaitBudgetsFollowTheTeamSizeNotThePlatform) {
+  // A 4-thread team on the 8-core default platform sizes its waits for 4
+  // threads: on a 4-CPU host it keeps the spinning budgets, not the
+  // oversubscribed ones an 8-thread team would get.
+  if (env::get("AID_FORKJOIN_SPIN") || env::get("AID_FORKJOIN_YIELD"))
+    GTEST_SKIP() << "wait-budget overrides set in the environment";
+  Team team(platform::odroid_xu4(), 4, Mapping::kBigFirst, false);
+  EXPECT_EQ(team.wait_budgets().spin, default_spin_budget(4));
+  EXPECT_EQ(team.wait_budgets().yield, default_yield_budget(4));
+}
+
+TEST(Team, WaitBudgetOverridesAreReadAtConstruction) {
+  const env::ScopedSet spin("AID_FORKJOIN_SPIN", "7");
+  const env::ScopedSet yield("AID_FORKJOIN_YIELD", "3");
+  Team team(small_amp(), 2, Mapping::kBigFirst, false);
+  EXPECT_EQ(team.wait_budgets().spin, 7);
+  EXPECT_EQ(team.wait_budgets().yield, 3);
 }
 
 TEST(Team, ManyConsecutiveLoopsReuseWorkers) {
