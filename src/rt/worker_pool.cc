@@ -123,12 +123,14 @@ void WorkerPool::participate(const platform::TeamLayout& layout,
       slots_[static_cast<usize>(layout.core_of(tid))].throttle;
   const WorkerInfo info{tid, tc.core_type, tc.speed};
   // One latch per participation: the per-chunk fault probe is a plain
-  // register test unless a plan is installed (fault/fault.h).
+  // register test unless a plan is installed (fault/fault.h). Likewise the
+  // clock is read only on a core whose throttle charges for the chunk.
   const bool fault_on = fault::enabled();
+  const bool throttled = throttle.enabled();
 
   sched::IterRange r;
   while (sched.next(tc, r)) {
-    const Nanos t0 = clock_.now();
+    const Nanos t0 = throttled ? clock_.now() : 0;
     // The capture shim: workers have no handler up-stack, so a throwing
     // body must never unwind past the dock loop. The FIRST exception per
     // construct is stashed in the token (atomic claim) and doubles as the
@@ -142,7 +144,7 @@ void WorkerPool::participate(const platform::TeamLayout& layout,
     } catch (...) {
       token->capture(std::current_exception());
     }
-    throttle.pay(clock_.now() - t0);
+    if (throttled) throttle.pay(clock_.now() - t0);
   }
 }
 

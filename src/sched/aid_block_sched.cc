@@ -37,6 +37,7 @@ AidBlockScheduler::AidBlockScheduler(i64 count,
   }
 
   sf_.resize(static_cast<usize>(layout.num_core_types()), 1.0);
+  shard_rate_.reserve(static_cast<usize>(kMaxCoreTypes));
   reset(count);
 }
 
@@ -63,7 +64,8 @@ void AidBlockScheduler::reset(i64 count) {
     // served by its home shard. One arm, with the right weights (reset is
     // single-threaded, so computing them first is safe).
     if (pool_.nshards() > 1) {
-      pool_.reset(count, shard_rates());
+      fill_shard_rates();
+      pool_.reset(count, shard_rate_);
     } else {
       pool_.reset(count);
     }
@@ -74,18 +76,19 @@ void AidBlockScheduler::reset(i64 count) {
   }
 }
 
-std::vector<double> AidBlockScheduler::shard_rates() const {
-  std::vector<double> rate(static_cast<usize>(pool_.nshards()), 0.0);
+void AidBlockScheduler::fill_shard_rates() {
+  // Within the reserved capacity whenever rebalance() accepts the shard
+  // count (at most kMaxCoreTypes): no allocation.
+  shard_rate_.assign(static_cast<usize>(pool_.nshards()), 0.0);
   for (int t = 0; t < nthreads_; ++t)
-    rate[static_cast<usize>(pool_.home_of(t))] +=
+    shard_rate_[static_cast<usize>(pool_.home_of(t))] +=
         sf_[static_cast<usize>(type_of_tid_[static_cast<usize>(t)])];
-  return rate;
 }
 
 void AidBlockScheduler::finalize(ThreadContext& tc) {
   // Called by exactly one thread (the last to record a sample) before any
   // other thread can observe aid_ready_ == true.
-  sf_ = estimator_.speedup_factors(nominal_speed_);
+  estimator_.speedup_factors(nominal_speed_, sf_);
   k_ = aid_k(aid_fraction_ * static_cast<double>(count_), threads_per_type_,
              sf_);
   // Report the SF of the fastest populated type (the paper's big-to-small
@@ -100,7 +103,8 @@ void AidBlockScheduler::finalize(ThreadContext& tc) {
     // Pre-position the shards for the uneven AID blocks: one bulk
     // migration toward the measured per-cluster rates, instead of every
     // thread clamping short at home and draining the tail remotely.
-    pool_.rebalance(shard_rates(), /*min_block=*/chunk_, tc.tid);
+    fill_shard_rates();
+    pool_.rebalance(shard_rate_, /*min_block=*/chunk_, tc.tid);
   }
   aid_ready_.store(true, std::memory_order_release);
 }

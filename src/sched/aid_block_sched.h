@@ -88,18 +88,20 @@ class AidBlockScheduler final : public LoopScheduler {
   void finalize(ThreadContext& tc);
   bool take_aid_block(ThreadContext& tc, PerThread& pt, IterRange& out);
   bool drain(IterRange& out, int tid, int shard);
-  /// Per-shard progress rates under the published SF vector (feeds the
-  /// bulk rebalance that pre-positions shards for the AID blocks).
-  [[nodiscard]] std::vector<double> shard_rates() const;
+  /// Fill shard_rate_ with the per-shard progress rates under the
+  /// published SF vector (feeds the bulk rebalance that pre-positions
+  /// shards for the AID blocks).
+  void fill_shard_rates();
 
   ShardedWorkShare pool_;
   SfEstimator estimator_;
   std::atomic<bool> aid_ready_{false};
 
   // Written by the finalizing thread before the aid_ready_ release store;
-  // read by everyone else after an acquire load. Pre-sized in the ctor so
-  // finalize() performs no allocation (hot path).
+  // read by everyone else after an acquire load. Sized (sf_) or reserved
+  // (shard_rate_) in the ctor so finalize() performs no allocation.
   std::vector<double> sf_;
+  std::vector<double> shard_rate_;
   double k_ = 0.0;
   double reported_sf_ = 0.0;
 

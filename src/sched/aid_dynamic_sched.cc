@@ -33,6 +33,7 @@ AidDynamicScheduler::AidDynamicScheduler(i64 count,
     type_of_tid_[static_cast<usize>(tid)] = layout.core_type_of(tid);
   }
   ratio_.assign(static_cast<usize>(layout.num_core_types()), 1.0);
+  shard_rate_.reserve(static_cast<usize>(kMaxCoreTypes));
   reset(count);
 }
 
@@ -53,7 +54,7 @@ void AidDynamicScheduler::close_phase(int tid) {
   // Exactly one thread executes this per phase (the one whose record() call
   // returned true). All other threads are stealing m-chunks and cannot touch
   // the estimator until the next epoch is visible.
-  ratio_ = estimator_.speedup_factors(ratio_);
+  estimator_.speedup_factors(ratio_, ratio_);
   for (usize t = ratio_.size(); t-- > 0;) {
     if (threads_per_type_[t] > 0) {
       if (reported_sf_ == 0.0) reported_sf_ = ratio_[t];  // initial SF
@@ -65,11 +66,13 @@ void AidDynamicScheduler::close_phase(int tid) {
     // is the sum of its member threads' measured progress ratios, so the
     // cluster the SF says will finish early receives a contiguous block
     // now instead of chunk-stealing it remotely later.
-    std::vector<double> rate(static_cast<usize>(pool_.nshards()), 0.0);
+    // rebalance() accepts at most kMaxCoreTypes shards, so this assign
+    // stays within the reserved capacity: no allocation.
+    shard_rate_.assign(static_cast<usize>(pool_.nshards()), 0.0);
     for (int t = 0; t < nthreads_; ++t)
-      rate[static_cast<usize>(pool_.home_of(t))] +=
+      shard_rate_[static_cast<usize>(pool_.home_of(t))] +=
           ratio_[static_cast<usize>(type_of_tid_[static_cast<usize>(t)])];
-    pool_.rebalance(rate, /*min_block=*/major_chunk_, tid);
+    pool_.rebalance(shard_rate_, /*min_block=*/major_chunk_, tid);
   }
   phases_completed_.fetch_add(1, std::memory_order_relaxed);
   estimator_.reset(nthreads_);

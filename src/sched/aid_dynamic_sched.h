@@ -99,13 +99,13 @@ class AidDynamicScheduler final : public LoopScheduler {
 
   ShardedWorkShare pool_;
   SfEstimator estimator_;
-  std::atomic<i64> epoch_{0};  // 0 = initial sampling; >=1: AID phases
-  std::atomic<bool> endgame_{false};
 
-  // Published by close_phase() before the epoch release-increment.
+  // Read by every next(); written at most once per construct (endgame_ by
+  // the threads that detect the endgame, reported_sf_ by the first
+  // close_phase()). ratio_'s elements are rewritten in place per phase.
+  std::atomic<bool> endgame_{false};
   std::vector<double> ratio_;  // R_t per core type
   double reported_sf_ = 0.0;
-  std::atomic<i64> phases_completed_{0};
 
   i64 count_;
   const i64 minor_chunk_;
@@ -115,7 +115,14 @@ class AidDynamicScheduler final : public LoopScheduler {
   std::vector<int> threads_per_type_;
   std::vector<double> nominal_speed_;
   std::vector<int> type_of_tid_;  ///< feeds per-shard rates into rebalance
+  /// close_phase()'s per-shard rates; capacity reserved in the ctor.
+  std::vector<double> shard_rate_;
   std::vector<Padded<PerThread>> per_thread_;
+
+  // Written once per phase by its closing thread: alone on their line.
+  // close_phase() publishes ratio_ before the epoch release-increment.
+  alignas(kCacheLineBytes) std::atomic<i64> epoch_{0};  // 0 = sampling
+  std::atomic<i64> phases_completed_{0};
 };
 
 }  // namespace aid::sched

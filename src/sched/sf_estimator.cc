@@ -1,5 +1,7 @@
 #include "sched/sf_estimator.h"
 
+#include <array>
+
 #include "common/check.h"
 
 namespace aid::sched {
@@ -49,35 +51,33 @@ double SfEstimator::rate(int core_type) const {
   return static_cast<double>(iters) / static_cast<double>(time);
 }
 
-std::vector<double> SfEstimator::speedup_factors(
-    const std::vector<double>& fallback_speed) const {
+void SfEstimator::speedup_factors(const std::vector<double>& fallback_speed,
+                                  std::vector<double>& out) const {
   AID_CHECK(fallback_speed.size() == types_.size());
-  std::vector<double> rates(types_.size());
+  AID_CHECK(out.size() == types_.size());
+  std::array<double, kMaxCoreTypes> rates{};
   for (usize t = 0; t < types_.size(); ++t)
     rates[t] = rate(static_cast<int>(t));
 
   // Reference = slowest populated type: the first (types are ordered
   // slowest-first by construction of the platform) with a valid rate.
   double ref = 0.0;
-  for (double r : rates) {
-    if (r > 0.0) {
-      ref = r;
+  for (usize t = 0; t < types_.size(); ++t) {
+    if (rates[t] > 0.0) {
+      ref = rates[t];
       break;
     }
   }
 
-  std::vector<double> sf(types_.size());
+  // Element t of `out` is written only after element t of the fallback
+  // was read: safe when the two alias.
   for (usize t = 0; t < types_.size(); ++t) {
-    if (rates[t] > 0.0 && ref > 0.0) {
-      sf[t] = rates[t] / ref;
-    } else {
-      // No sample for this type (no threads bound there, or it never got an
-      // iteration): trust the platform's nominal speed ratio.
-      sf[t] = fallback_speed[t];
-    }
-    if (sf[t] < kMinSf) sf[t] = kMinSf;
+    double sf = fallback_speed[t];
+    // No sample for this type (no threads bound there, or it never got an
+    // iteration): trust the platform's nominal speed ratio.
+    if (rates[t] > 0.0 && ref > 0.0) sf = rates[t] / ref;
+    out[t] = sf < kMinSf ? kMinSf : sf;
   }
-  return sf;
 }
 
 double aid_k(double num_iterations, const std::vector<int>& threads_per_type,

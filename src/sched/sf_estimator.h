@@ -51,9 +51,19 @@ class SfEstimator {
 
   /// SF_j: rate(j) / rate(slowest populated type with valid samples).
   /// Falls back to `fallback_speed[j]` (nominal platform speeds) for types
-  /// without valid samples. Result is clamped to >= kMinSf.
+  /// without valid samples. Result is clamped to >= kMinSf. Writes into
+  /// `out`, which must already hold num_core_types() entries (no
+  /// allocation: the phase-closing thread calls this) and may alias
+  /// `fallback_speed`.
+  void speedup_factors(const std::vector<double>& fallback_speed,
+                       std::vector<double>& out) const;
+  /// The same, into a fresh vector.
   [[nodiscard]] std::vector<double> speedup_factors(
-      const std::vector<double>& fallback_speed) const;
+      const std::vector<double>& fallback_speed) const {
+    std::vector<double> sf(types_.size());
+    speedup_factors(fallback_speed, sf);
+    return sf;
+  }
 
   [[nodiscard]] int num_core_types() const {
     return static_cast<int>(types_.size());
@@ -70,7 +80,10 @@ class SfEstimator {
   };
 
   std::vector<TypeAccum> types_;
-  std::atomic<int> completed_{0};
+  /// RMWed by every thread once per phase: alone on its line (with the
+  /// expected_ it is compared against), so the words an enclosing
+  /// scheduler reads on every next() never share it.
+  alignas(kCacheLineBytes) std::atomic<int> completed_{0};
   /// Atomic (relaxed): a phase-closing reset() may overlap the tail of a
   /// straggler's record() — after its completed_ increment, before its
   /// expected_ comparison. The value written is the same team size, so

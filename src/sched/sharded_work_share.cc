@@ -1,6 +1,9 @@
 #include "sched/sharded_work_share.h"
 
+#include <array>
 #include <cmath>
+
+#include "sched/sf_estimator.h"
 
 namespace aid::sched {
 
@@ -175,8 +178,8 @@ bool ShardedWorkShare::migrate(int from, int to, i64 want_block,
         // into [e - b, e) — we own the block exclusively.
         if (install(to, e - b, e)) {
           Counters& c = counters_[static_cast<usize>(tid)];
-          c.rebalances.fetch_add(1, std::memory_order_relaxed);
-          c.rebalanced_iters.fetch_add(b, std::memory_order_relaxed);
+          add_owned(c.rebalances);
+          add_owned(c.rebalanced_iters, b);
           moved = true;
         } else {
           // Every slot of `to` is live: merge the block back into the
@@ -212,7 +215,10 @@ bool ShardedWorkShare::rebalance(const std::vector<double>& weights,
   for (const double w : weights) wsum += w > 0.0 ? w : 0.0;
   if (wsum <= 0.0) return false;
 
-  std::vector<i64> rem(static_cast<usize>(nshards_));
+  // Fixed bound, no allocation: the AID schedulers call this from the
+  // thread that closes a phase, with one shard per core type.
+  AID_CHECK(nshards_ <= kMaxCoreTypes);
+  std::array<i64, kMaxCoreTypes> rem{};
   i64 total = 0;
   for (int s = 0; s < nshards_; ++s) {
     rem[static_cast<usize>(s)] = remaining_of_shard(s);

@@ -160,7 +160,8 @@ class ShardedWorkShare {
   /// iterations from the most over-provisioned shard (vs. a
   /// weight-proportional split of the global remainder) to the most
   /// under-provisioned one. Returns true when a block actually moved.
-  /// Safe to call concurrently with takes/steals from any thread.
+  /// Safe to call concurrently with takes/steals from any thread. Needs
+  /// at most kMaxCoreTypes shards (one per core type); allocates nothing.
   bool rebalance(const std::vector<double>& weights, i64 min_block, int tid);
 
   /// Iterations not yet handed out (may be stale under concurrency).
@@ -229,8 +230,8 @@ class ShardedWorkShare {
 
  private:
   /// Per-thread stat slots, one cache line each: the hot path touches only
-  /// the caller's own line (relaxed adds), mirroring WorkShare's removal
-  /// counters.
+  /// the caller's own line, mirroring WorkShare's removal counters. Only
+  /// the slot's tid writes it (add_owned: no locked RMW).
   struct alignas(kCacheLineBytes) Counters {
     std::atomic<i64> local{0};
     std::atomic<i64> remote{0};
@@ -262,7 +263,7 @@ class ShardedWorkShare {
 
   void note_removal(int tid, bool local) {
     Counters& c = counters_[static_cast<usize>(tid)];
-    (local ? c.local : c.remote).fetch_add(1, std::memory_order_relaxed);
+    add_owned(local ? c.local : c.remote);
   }
 
   /// One shard's take: read-only drain probe per segment, then one
@@ -339,13 +340,16 @@ class ShardedWorkShare {
   std::vector<Padded<std::atomic<u64>>> segs_;  // shard-major segment words
   std::vector<Padded<std::atomic<int>>> hints_;  // per shard: live-seg hint
   std::vector<Counters> counters_;              // one per thread
+  /// Cancellation poison flag (sharded mode only; see poison()). Read by
+  /// every take, written once per construct: on a line of its own.
+  alignas(kCacheLineBytes) std::atomic<bool> poisoned_{false};
   /// Migration mutual exclusion (try-acquire only — contenders fall back
   /// to plain chunk steals, so no take ever blocks on it). Single-writer
   /// migration is what makes the merge-back path of a failed install
   /// always applicable: nobody else can have moved the donor's end.
-  std::atomic<int> migrating_{0};
-  /// Cancellation poison flag (sharded mode only; see poison()).
-  std::atomic<bool> poisoned_{false};
+  /// Exchanged per migration: alone on its line, away from the words
+  /// every take reads.
+  alignas(kCacheLineBytes) std::atomic<int> migrating_{0};
 };
 
 }  // namespace aid::sched

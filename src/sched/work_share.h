@@ -4,15 +4,25 @@
 // iteration and `end` the loop bound; removal is a single lock-free
 // fetch-and-add, with the caller clamping the result against `end`.
 //
-// Contention hardening beyond libgomp:
-//  * check-before-fetch_add — a drained pool is detected with a read-only
-//    acquire load, so endgame stealing (every AID wait window hammers the
-//    pool until it drains) stops issuing contended RMWs and `next_` stays
-//    bounded instead of growing by `want` per failed probe;
+// Contention hardening beyond libgomp — a take costs exactly one contended
+// RMW, and no other line it touches is written per take by another thread:
+//  * the cursor `next_` sits alone on its cache line. Everything else a
+//    take reads (`end_`, the slot vector, `drained_`) sits on a
+//    read-mostly line that only reset(), the drain and poison() write, so
+//    the RMW is the only transfer of a contended line per take;
+//  * the drain probe reads `drained_`, not `next_`: loading the cursor
+//    before the fetch_add would pull its line in shared and then again
+//    exclusive. The take that hands out the last iteration (and any
+//    straggler whose fetch_add lost that race) sets the flag, so a
+//    drained pool answers without an RMW and `next_` stays bounded —
+//    endgame stealing (every AID wait window hammers the pool until it
+//    drains) never grows it by `want` per failed probe. poison() sets
+//    the same flag. (ShardedWorkShare keeps a probe of its segment
+//    words; src/sched/README.md, "The segment word", says why);
 //  * per-thread removal counters — the success count the paper's overhead
 //    metric is proportional to lives in one cache-line-padded slot per
-//    thread (aggregated in removals()), so the hot path performs exactly
-//    one *contended* atomic op: the fetch_add on `next_`.
+//    thread (aggregated in removals()). Each slot has one writer, its tid,
+//    so it is bumped with a relaxed load+store, not a locked RMW.
 #pragma once
 
 #include <atomic>
@@ -24,35 +34,45 @@
 
 namespace aid::sched {
 
+/// Bump a per-thread stat slot. Only the slot's owning thread writes it,
+/// so a relaxed load+store is exact and skips the locked RMW; concurrent
+/// readers (stats aggregation) see a whole value, never a torn one.
+inline void add_owned(std::atomic<i64>& slot, i64 by = 1) {
+  slot.store(slot.load(std::memory_order_relaxed) + by,
+             std::memory_order_relaxed);
+}
+
 class alignas(kCacheLineBytes) WorkShare {
  public:
   /// `nthreads` sizes the per-thread removal-counter slots; take()'s tid
-  /// must stay below it. A default-constructed pool has one slot (serial
-  /// use in tests/benches).
+  /// must stay below it, and one tid must not take from two threads at
+  /// once (its slot has a single writer). A default-constructed pool has
+  /// one slot (serial use in tests/benches).
   explicit WorkShare(int nthreads = 1)
       : removals_(static_cast<usize>(nthreads > 0 ? nthreads : 1)) {}
 
   /// Arm the pool for a loop of `count` canonical iterations.
   void reset(i64 count) {
     end_ = count;
+    drained_.store(count <= 0, std::memory_order_relaxed);
     for (auto& slot : removals_) slot->store(0, std::memory_order_relaxed);
     next_.store(0, std::memory_order_release);
   }
 
   /// Atomically remove up to `want` iterations. Returns the removed range
   /// (possibly clamped, possibly empty when the pool is exhausted).
-  /// This is the hot path: one read-only drain check, then exactly one
+  /// This is the hot path: one read-mostly drain flag, then exactly one
   /// contended fetch_add; the removal count lands in the caller's own slot.
   IterRange take(i64 want, int tid = 0) {
     AID_DCHECK(want >= 1);
     // Always-on bound check: a mis-sized pool must fail loudly, not corrupt
     // the heap through the counter slot (predicted branch, ~free).
     AID_CHECK(tid >= 0 && static_cast<usize>(tid) < removals_.size());
-    if (next_.load(std::memory_order_acquire) >= end_) return {end_, end_};
+    if (drained_.load(std::memory_order_relaxed)) return {end_, end_};
     const i64 begin = next_.fetch_add(want, std::memory_order_acq_rel);
+    if (begin + want >= end_) drained_.store(true, std::memory_order_relaxed);
     if (begin >= end_) return {end_, end_};  // lost the drain race: no take
-    removals_[static_cast<usize>(tid)]->fetch_add(
-        1, std::memory_order_relaxed);
+    add_owned(*removals_[static_cast<usize>(tid)]);
     const i64 stop = begin + want < end_ ? begin + want : end_;
     return {begin, stop};
   }
@@ -62,11 +82,11 @@ class alignas(kCacheLineBytes) WorkShare {
   template <typename WantFn>
   IterRange take_adaptive(WantFn&& want_of, int tid = 0) {
     AID_CHECK(tid >= 0 && static_cast<usize>(tid) < removals_.size());
-    // Same read-only drain probe as take(): under endgame stealing every
-    // wait window re-probes the pool until it drains, and a drained pool
-    // must answer with one acquire load — never by entering the CAS retry
-    // loop below (whose failure path re-loads per attempt).
-    if (next_.load(std::memory_order_acquire) >= end_) return {end_, end_};
+    // Same drain flag as take(): under endgame stealing every wait window
+    // re-probes the pool until it drains, and a drained pool must answer
+    // without entering the CAS retry loop below (whose failure path
+    // re-loads per attempt).
+    if (drained_.load(std::memory_order_relaxed)) return {end_, end_};
     i64 cur = next_.load(std::memory_order_acquire);
     while (cur < end_) {
       const i64 want = want_of(end_ - cur);
@@ -74,24 +94,26 @@ class alignas(kCacheLineBytes) WorkShare {
       const i64 stop = cur + want < end_ ? cur + want : end_;
       if (next_.compare_exchange_weak(cur, stop, std::memory_order_acq_rel,
                                       std::memory_order_acquire)) {
-        removals_[static_cast<usize>(tid)]->fetch_add(
-            1, std::memory_order_relaxed);
+        if (stop == end_) drained_.store(true, std::memory_order_relaxed);
+        add_owned(*removals_[static_cast<usize>(tid)]);
         return {cur, stop};
       }
     }
+    drained_.store(true, std::memory_order_relaxed);
     return {end_, end_};
   }
 
-  /// Cancellation poison: one release store publishes a drained pool, so
-  /// every subsequent take answers through the read-only drain probe. An
-  /// in-flight fetch_add that already passed the probe may still win one
-  /// chunk — that is the documented cancel latency (one chunk), not a bug.
+  /// Cancellation poison: one release store of the drain flag, so every
+  /// subsequent take answers without touching the cursor. An in-flight
+  /// fetch_add that already passed the flag may still win one chunk —
+  /// that is the documented cancel latency (one chunk), not a bug.
   /// reset() re-arms the pool for the next construct as usual.
-  void poison() { next_.store(end_, std::memory_order_release); }
+  void poison() { drained_.store(true, std::memory_order_release); }
 
   /// Iterations not yet handed out (may be stale under concurrency; exact in
-  /// the simulator). Never negative.
+  /// the simulator). Never negative; 0 once drained or poisoned.
   [[nodiscard]] i64 remaining() const {
+    if (drained_.load(std::memory_order_acquire)) return 0;
     const i64 n = next_.load(std::memory_order_acquire);
     return n < end_ ? end_ - n : 0;
   }
@@ -118,9 +140,13 @@ class alignas(kCacheLineBytes) WorkShare {
   }
 
  private:
-  std::atomic<i64> next_{0};
+  // Read-mostly line: read by every take, written by reset() and again
+  // only when the pool drains or is poisoned.
   i64 end_ = 0;
+  std::atomic<bool> drained_{true};
   std::vector<Padded<std::atomic<i64>>> removals_;  // one slot per thread
+  // The cursor: the one contended RMW per take, alone on its line.
+  alignas(kCacheLineBytes) std::atomic<i64> next_{0};
 };
 
 }  // namespace aid::sched

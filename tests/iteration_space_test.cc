@@ -114,7 +114,7 @@ TEST(WorkShareStress, ConcurrentTakesPartitionExactly) {
   // contention (paper Sec. 4.2).
   constexpr i64 kCount = 200'000;
   constexpr int kThreads = 8;
-  WorkShare pool;
+  WorkShare pool(kThreads);
   pool.reset(kCount);
   std::vector<std::vector<IterRange>> taken(kThreads);
   {
@@ -123,7 +123,7 @@ TEST(WorkShareStress, ConcurrentTakesPartitionExactly) {
       threads.emplace_back([&pool, &mine = taken[static_cast<usize>(t)], t] {
         const i64 chunk = 1 + t % 4;  // mixed chunk sizes
         for (;;) {
-          const IterRange r = pool.take(chunk);
+          const IterRange r = pool.take(chunk, t);
           if (r.empty()) return;
           mine.push_back(r);
         }
@@ -140,27 +140,40 @@ TEST(WorkShareStress, ConcurrentTakesPartitionExactly) {
     }
   }
   for (i64 i = 0; i < kCount; ++i) ASSERT_EQ(seen[static_cast<usize>(i)], 1);
+  // The owner-only removal slots are exact: one per non-empty range.
+  i64 sum = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    const auto received =
+        static_cast<i64>(taken[static_cast<usize>(t)].size());
+    EXPECT_EQ(pool.removals_of(t), received) << "tid " << t;
+    sum += received;
+  }
+  EXPECT_EQ(pool.removals(), sum);
 }
 
 TEST(WorkShareStress, ConcurrentAdaptiveTakes) {
   constexpr i64 kCount = 100'000;
-  WorkShare pool;
+  constexpr int kThreads = 8;
+  WorkShare pool(kThreads);
   pool.reset(kCount);
   std::atomic<i64> total{0};
+  std::atomic<i64> ranges{0};
   {
     std::vector<std::jthread> threads;
-    for (int t = 0; t < 8; ++t) {
-      threads.emplace_back([&] {
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
         for (;;) {
           const IterRange r =
-              pool.take_adaptive([](i64 rem) { return rem / 16 + 1; });
+              pool.take_adaptive([](i64 rem) { return rem / 16 + 1; }, t);
           if (r.empty()) return;
           total.fetch_add(r.size());
+          ranges.fetch_add(1);
         }
       });
     }
   }
   EXPECT_EQ(total.load(), kCount);
+  EXPECT_EQ(pool.removals(), ranges.load());
 }
 
 TEST(ThreadCpuTime, TicksUnderWork) {

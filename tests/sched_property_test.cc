@@ -335,7 +335,12 @@ TEST(ShardedWorkShareStress, ExactlyOnceUnderStealsAndRebalances) {
     for (i64 i = 0; i < count; ++i)
       ASSERT_EQ(seen[static_cast<usize>(i)], 1)
           << "round " << round << ": iteration " << i << " never delivered";
-    // Counter sanity: every logged range was one accounted removal.
+    // Counter sanity: every logged range was one accounted removal, in
+    // the slot of the thread that received it.
+    for (int t = 0; t < nthreads; ++t)
+      EXPECT_EQ(pool.removals_of(t),
+                static_cast<i64>(taken[static_cast<usize>(t)].size()))
+          << "round " << round << ": tid " << t;
     EXPECT_EQ(pool.removals(), successes);
     EXPECT_EQ(pool.local_removals() + pool.remote_removals(), successes);
   }

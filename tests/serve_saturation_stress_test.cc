@@ -105,8 +105,9 @@ TEST(ServeSaturationStress, ClientsChurningPoliciesExactlyOnceOrCancelled) {
       case JobStatus::kRejected:
       case JobStatus::kExpired:
       case JobStatus::kCancelled:
-        if (r.never_dispatched)
+        if (r.never_dispatched) {
           EXPECT_EQ(hits, 0) << "undispatched job ran a body";
+        }
         ++not_done;
         break;
       case JobStatus::kPending:

@@ -2,11 +2,22 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "sched/sf_estimator.h"
 
 namespace aid::sched {
 namespace {
+
+// speedup_factors() in both forms: the in-place one, writing over the very
+// vector it takes the fallback from (how the AID schedulers call it), must
+// equal the returning one.
+std::vector<double> sf_of(const SfEstimator& e, std::vector<double> fallback) {
+  const std::vector<double> returned = e.speedup_factors(fallback);
+  e.speedup_factors(fallback, fallback);
+  EXPECT_EQ(fallback, returned) << "in-place form diverges";
+  return returned;
+}
 
 TEST(SfEstimator, LastRecorderIsSignalled) {
   SfEstimator e(2);
@@ -16,6 +27,7 @@ TEST(SfEstimator, LastRecorderIsSignalled) {
   EXPECT_FALSE(e.complete());
   EXPECT_TRUE(e.record(1, 50, 1));
   EXPECT_TRUE(e.complete());
+  EXPECT_DOUBLE_EQ(sf_of(e, {1.0, 1.0})[1], 2.0);
 }
 
 TEST(SfEstimator, EqualChunksReduceToPaperTimeRatio) {
@@ -27,7 +39,7 @@ TEST(SfEstimator, EqualChunksReduceToPaperTimeRatio) {
   e.record(0, 300, 1);
   e.record(1, 100, 1);
   e.record(1, 100, 1);
-  const auto sf = e.speedup_factors({1.0, 1.0});
+  const auto sf = sf_of(e, {1.0, 1.0});
   EXPECT_DOUBLE_EQ(sf[0], 1.0);
   EXPECT_DOUBLE_EQ(sf[1], 3.0);
 }
@@ -39,7 +51,7 @@ TEST(SfEstimator, RateBasedHandlesUnequalChunks) {
   e.reset(2);
   e.record(0, 400, 2);
   e.record(1, 500, 10);
-  const auto sf = e.speedup_factors({1.0, 1.0});
+  const auto sf = sf_of(e, {1.0, 1.0});
   EXPECT_DOUBLE_EQ(sf[1], 4.0);
 }
 
@@ -49,7 +61,7 @@ TEST(SfEstimator, ZeroIterationSamplesDoNotPollute) {
   e.record(0, 100, 1);
   e.record(1, 0, 0);  // found the pool empty
   e.record(1, 25, 1);
-  const auto sf = e.speedup_factors({1.0, 1.0});
+  const auto sf = sf_of(e, {1.0, 1.0});
   EXPECT_DOUBLE_EQ(sf[1], 4.0);
 }
 
@@ -58,7 +70,7 @@ TEST(SfEstimator, MissingTypeFallsBackToNominalSpeed) {
   e.reset(2);
   e.record(0, 100, 1);
   e.record(0, 100, 1);  // nobody sampled type 1
-  const auto sf = e.speedup_factors({1.0, 2.4});
+  const auto sf = sf_of(e, {1.0, 2.4});
   EXPECT_DOUBLE_EQ(sf[0], 1.0);
   EXPECT_DOUBLE_EQ(sf[1], 2.4);
 }
@@ -68,7 +80,7 @@ TEST(SfEstimator, ZeroElapsedClampedToOneNanosecond) {
   e.reset(2);
   e.record(0, 0, 5);  // coarse timer: 0ns for 5 iterations
   e.record(1, 10, 5);
-  const auto sf = e.speedup_factors({1.0, 1.0});
+  const auto sf = sf_of(e, {1.0, 1.0});
   EXPECT_GT(sf[1], 0.0);
   EXPECT_LT(sf[1], 1.0);  // type1 measured slower here; clamped, not inf/nan
 }
@@ -78,7 +90,7 @@ TEST(SfEstimator, SfClampedBelow) {
   e.reset(2);
   e.record(0, 1, 1000000);  // absurd rate for the slow type
   e.record(1, 1000000, 1);
-  const auto sf = e.speedup_factors({1.0, 1.0});
+  const auto sf = sf_of(e, {1.0, 1.0});
   EXPECT_GE(sf[1], SfEstimator::kMinSf);
 }
 
@@ -88,7 +100,7 @@ TEST(SfEstimator, ThreeTypes) {
   e.record(0, 600, 1);
   e.record(1, 300, 1);
   e.record(2, 100, 1);
-  const auto sf = e.speedup_factors({1.0, 1.0, 1.0});
+  const auto sf = sf_of(e, {1.0, 1.0, 1.0});
   EXPECT_DOUBLE_EQ(sf[0], 1.0);
   EXPECT_DOUBLE_EQ(sf[1], 2.0);
   EXPECT_DOUBLE_EQ(sf[2], 6.0);
@@ -104,7 +116,7 @@ TEST(SfEstimator, ResetRearmsForNextPhase) {
   EXPECT_FALSE(e.complete());
   e.record(0, 200, 1);
   e.record(1, 25, 1);
-  const auto sf = e.speedup_factors({1.0, 1.0});
+  const auto sf = sf_of(e, {1.0, 1.0});
   EXPECT_DOUBLE_EQ(sf[1], 8.0) << "old phase data must not leak";
 }
 
@@ -128,6 +140,7 @@ TEST(SfEstimator, ConcurrentRecordingCountsExactly) {
     }
     ASSERT_EQ(last_signals.load(), 1) << "exactly one thread closes a phase";
     ASSERT_TRUE(e.complete());
+    ASSERT_GT(sf_of(e, {1.0, 1.0})[1], 0.0);
   }
 }
 
