@@ -36,7 +36,7 @@
 //
 // shard=single is the classic one-line WorkShare, shard=sharded the
 // per-core-type ShardedWorkShare, shard=fallback1 the ShardedWorkShare
-// forced to one shard (the AID_SHARDS=1 regression guard: it must stay
+// over a one-shard topology (the path uniform layouts take: it must stay
 // within noise of single). NOTE on 1-CPU hosts: all threads share one
 // L1, so the cross-cluster coherence cost the sharding removes is
 // invisible in take_ns there — the locality story shows in
@@ -337,8 +337,7 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
       nthreads / 2 > 0 ? nthreads / 2 : 1, 2.0);
   const platform::TeamLayout layout(platform, nthreads,
                                     platform::Mapping::kBigFirst);
-  const sched::ShardTopology topo = sched::ShardTopology::from_layout(
-      layout, /*requested_shards=*/0);
+  const sched::ShardTopology topo = sched::ShardTopology::from_layout(layout);
   // Steal-heavy arming: invert the capacity split so the faster cluster's
   // threads drain home early and must steal or bulk-migrate.
   std::vector<double> skew(static_cast<usize>(topo.nshards()), 7.0);
@@ -376,7 +375,7 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
     emit(label("sharded"),
          measure_pool(
              nthreads, runs,
-             [&](int tid) { return pool.take(chunk, tid, topo.home_of(tid)); },
+             [&](int tid) { return pool.take(chunk, tid); },
              [&] { pool.reset(count, skew); },
              [&](i64& local, i64& remote, i64& rebalances) {
                local = pool.local_removals();
@@ -385,13 +384,13 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
              }));
   }
   {
-    // AID_SHARDS=1 fallback: must stay within noise of shard=single.
-    sched::ShardedWorkShare pool(sched::ShardTopology::single(nthreads),
-                                 nthreads);
+    // One-shard topology (uniform layouts): must stay within noise of
+    // shard=single.
+    sched::ShardedWorkShare pool(sched::ShardTopology{}, nthreads);
     emit(label("fallback1"),
          measure_pool(
              nthreads, runs,
-             [&](int tid) { return pool.take(chunk, tid, 0); },
+             [&](int tid) { return pool.take(chunk, tid); },
              [&] { pool.reset(count); },
              [&](i64& local, i64& remote, i64& rebalances) {
                local = pool.local_removals();
@@ -469,7 +468,7 @@ int main() {
     }
 
     // Steal-heavy pool-level take/steal round-trips (single vs sharded vs
-    // the AID_SHARDS=1 fallback) plus the local-vs-remote removal ratio.
+    // the one-shard fallback) plus the local-vs-remote removal ratio.
     report_shard_family(json, nthreads, /*count=*/i64{1} << 12, /*chunk=*/4,
                         runs);
 

@@ -22,7 +22,7 @@ namespace aid::env {
 /// they warn ONCE per variable to stderr and return `fallback` (not an
 /// error), so a bad environment never aborts a user application — matching
 /// libgomp's forgiving behavior while still telling the user their knob
-/// silently did nothing (AID_SHARDS=abc used to vanish without a trace).
+/// silently did nothing (AID_NUM_THREADS=abc is reported, not ignored).
 [[nodiscard]] std::string get_string(std::string_view name,
                                      std::string_view fallback);
 [[nodiscard]] i64 get_int(std::string_view name, i64 fallback);

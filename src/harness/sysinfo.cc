@@ -86,8 +86,8 @@ SysInfo collect_sysinfo() {
       "AID_GIT_SHA", env::get_string("GITHUB_SHA", "unknown"));
   info.host_id = host_id_of(info);
   for (const char* knob :
-       {"AID_POOL", "AID_SHARDS", "AID_SCHEDULE", "AID_NUM_THREADS",
-        "AID_BENCH_SCALE", "AID_BENCH_RUNS"}) {
+       {"AID_POOL", "AID_SCHEDULE", "AID_NUM_THREADS", "AID_BENCH_SCALE",
+        "AID_BENCH_RUNS"}) {
     info.env_knobs.emplace_back(knob, env::get(knob).value_or(""));
   }
   return info;

@@ -234,7 +234,7 @@ class PoolManager {
     int region_depth = 0;  ///< begin_region nesting; >0 defers adoption
     std::unique_ptr<platform::TeamLayout> layout;  // built over `current`
     /// Shard topology of `layout`, rebuilt with it in adopt() so the
-    /// per-construct path does not re-derive it (env read + allocation)
+    /// per-construct path does not re-derive it (an allocation)
     /// on every loop.
     std::unique_ptr<sched::ShardTopology> topo;
     /// Per-shape scheduler cache for this lease; invalidated in adopt()

@@ -94,8 +94,6 @@ struct GompTls {
   /// the current construct's sequence (its completion tag).
   u64 sequence = 0;
   WorkShareSlot* current = nullptr;
-  int shard = 0;  ///< home shard in current's pool (cached at loop start:
-                  ///< loop_runtime_next runs once per chunk)
 };
 
 thread_local GompTls tls;
@@ -133,7 +131,7 @@ void aid_gomp_parallel(void (*fn)(void*), void* data, unsigned num_threads) {
   rt.run_loop(layout.nthreads(), sched::ScheduleSpec::static_chunked(1),
               [&](i64 b, i64 e, const WorkerInfo& w) {
                 AID_CHECK(e == b + 1 && b == w.tid);
-                tls = GompTls{&state, w.tid, 0, nullptr, 0};
+                tls = GompTls{&state, w.tid, 0, nullptr};
                 fn(data);
                 tls = GompTls{};
               });
@@ -200,7 +198,6 @@ bool aid_gomp_loop_runtime_start(long start, long end, long incr,
   slot.published.wait(seq, state.budgets.spin, state.budgets.yield);
 
   tls.current = &slot;
-  tls.shard = slot.sched->home_shard_of(tls.tid);
   return aid_gomp_loop_runtime_next(istart, iend);
 }
 
@@ -208,7 +205,6 @@ bool aid_gomp_loop_runtime_next(long* istart, long* iend) {
   AID_CHECK_MSG(tls.current != nullptr,
                 "loop_runtime_next without loop_runtime_start");
   sched::ThreadContext tc = context_for(tls.tid);
-  tc.shard = tls.shard;
   sched::IterRange r;
   if (!tls.current->sched->next(tc, r)) return false;
   // Map canonical [begin, end) back to user coordinates. The returned

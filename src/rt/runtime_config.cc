@@ -41,7 +41,6 @@ RuntimeConfig RuntimeConfig::from_env() {
 
   cfg.use_pool = env::get_bool("AID_POOL", false);
   if (const auto text = env::get("AID_POOL_POLICY")) cfg.pool_policy = *text;
-  cfg.shards = static_cast<int>(env::get_int_at_least("AID_SHARDS", 0, 0));
   return cfg;
 }
 
@@ -56,8 +55,6 @@ std::string RuntimeConfig::describe() const {
      << " sf_cpu_time=" << (sf_cpu_time ? "on" : "off")
      << " pool=" << (use_pool ? "on" : "off");
   if (use_pool) os << " pool_policy=" << pool_policy;
-  os << " shards="
-     << (shards == 0 ? std::string("auto") : std::to_string(shards));
   return os.str();
 }
 

@@ -30,11 +30,6 @@
 //                       the runtime reports the pool's platform.
 //   AID_POOL_POLICY   — pool arbitration policy: "equal" (default),
 //                       "big-priority", or "proportional".
-//   AID_SHARDS        — work-share pool sharding (sched/shard_topology.h):
-//                       unset/0 = one shard per populated core type (the
-//                       cluster-local default), 1 = classic single-pool
-//                       fallback, N>1 = cap the shard count. Read by the
-//                       runtime layers when they arm a construct's pool.
 #pragma once
 
 #include <string>
@@ -56,11 +51,6 @@ struct RuntimeConfig {
   /// kept as an opaque string here so rt/ headers stay independent of
   /// pool/ (the pool depends on rt, not the other way around).
   std::string pool_policy = "equal-share";
-  /// AID_SHARDS as read at startup (0 = auto). Informational: the pool
-  /// manager and the GOMP surface re-read the environment per construct
-  /// (tests can toggle those per scope), while a Team snapshots its
-  /// topology at construction — rebuild the Team to change it.
-  int shards = 0;
 
   /// Read the AID_* variables; unparsable values fall back to defaults
   /// (libgomp-style forgiveness), reported through `warnings`.

@@ -104,7 +104,7 @@ class Team {
 
   /// The shard topology every construct of this team arms (fixed for the
   /// team's lifetime). Exposed so the GOMP surface reuses it instead of
-  /// re-deriving one (env read + allocation) per parallel region.
+  /// re-deriving one (an allocation) per parallel region.
   [[nodiscard]] const sched::ShardTopology& shard_topology() const {
     return shard_topo_;
   }
@@ -115,9 +115,9 @@ class Team {
 
  private:
   platform::TeamLayout layout_;
-  /// One pool shard per populated core type (AID_SHARDS overrides; =1 is
-  /// the single-pool fallback). Fixed for the team's lifetime, as is the
-  /// layout — so the scheduler cache is never invalidated either.
+  /// One pool shard per populated core type (ShardTopology::from_layout).
+  /// Fixed for the team's lifetime, as is the layout — so the scheduler
+  /// cache is never invalidated either.
   sched::ShardTopology shard_topo_;
   sched::SchedulerCache sched_cache_;
   /// Declared before pool_: destruction runs in reverse, so the engine

@@ -115,7 +115,6 @@ void WorkerPool::participate(const platform::TeamLayout& layout,
       .tid = tid,
       .core_type = layout.core_type_of(tid),
       .speed = layout.speed_of(tid),
-      .shard = sched.home_shard_of(tid),
       .time = sf_clock_,
       .cancel = token,
   };

@@ -37,7 +37,6 @@ AidBlockScheduler::AidBlockScheduler(i64 count,
   }
 
   sf_.resize(static_cast<usize>(layout.num_core_types()), 1.0);
-  shard_rate_.reserve(static_cast<usize>(kMaxCoreTypes));
   reset(count);
 }
 
@@ -59,10 +58,10 @@ void AidBlockScheduler::reset(i64 count) {
     k_ = aid_k(aid_fraction_ * static_cast<double>(count_), threads_per_type_,
                sf_);
     reported_sf_ = sf_.back();
-    // No sampling phase will rebalance later: arm the shards directly
-    // proportional to the offline SF so the single AID block per thread is
-    // served by its home shard. One arm, with the right weights (reset is
-    // single-threaded, so computing them first is safe).
+    // No sampling phase: arm the shards proportional to the offline SF so
+    // the single AID block per thread is served by its home shard. One
+    // arm, with the right weights (reset is single-threaded, so computing
+    // them first is safe).
     if (pool_.nshards() > 1) {
       fill_shard_rates();
       pool_.reset(count, shard_rate_);
@@ -77,15 +76,13 @@ void AidBlockScheduler::reset(i64 count) {
 }
 
 void AidBlockScheduler::fill_shard_rates() {
-  // Within the reserved capacity whenever rebalance() accepts the shard
-  // count (at most kMaxCoreTypes): no allocation.
   shard_rate_.assign(static_cast<usize>(pool_.nshards()), 0.0);
   for (int t = 0; t < nthreads_; ++t)
     shard_rate_[static_cast<usize>(pool_.home_of(t))] +=
         sf_[static_cast<usize>(type_of_tid_[static_cast<usize>(t)])];
 }
 
-void AidBlockScheduler::finalize(ThreadContext& tc) {
+void AidBlockScheduler::finalize() {
   // Called by exactly one thread (the last to record a sample) before any
   // other thread can observe aid_ready_ == true.
   estimator_.speedup_factors(nominal_speed_, sf_);
@@ -98,13 +95,6 @@ void AidBlockScheduler::finalize(ThreadContext& tc) {
       reported_sf_ = sf_[t];
       break;
     }
-  }
-  if (pool_.nshards() > 1) {
-    // Pre-position the shards for the uneven AID blocks: one bulk
-    // migration toward the measured per-cluster rates, instead of every
-    // thread clamping short at home and draining the tail remotely.
-    fill_shard_rates();
-    pool_.rebalance(shard_rate_, /*min_block=*/chunk_, tc.tid);
   }
   aid_ready_.store(true, std::memory_order_release);
 }
@@ -120,7 +110,7 @@ bool AidBlockScheduler::take_aid_block(ThreadContext& tc, PerThread& pt,
   pt.state = State::kDrain;
   const i64 want = target_of_type(tc.core_type) - pt.delta;
   if (want >= 1) {
-    const IterRange r = pool_.take(want, tc.tid, tc.shard);
+    const IterRange r = pool_.take(want, tc.tid);
     if (!r.empty()) {
       out = r;
       return true;
@@ -128,11 +118,11 @@ bool AidBlockScheduler::take_aid_block(ThreadContext& tc, PerThread& pt,
     return false;  // pool exhausted: loop over for this thread
   }
   // Thread already covered its share while waiting; fall through to drain.
-  return drain(out, tc.tid, tc.shard);
+  return drain(out, tc.tid);
 }
 
-bool AidBlockScheduler::drain(IterRange& out, int tid, int shard) {
-  const IterRange r = pool_.take(chunk_, tid, shard);
+bool AidBlockScheduler::drain(IterRange& out, int tid) {
+  const IterRange r = pool_.take(chunk_, tid);
   if (r.empty()) return false;
   out = r;
   return true;
@@ -153,12 +143,12 @@ bool AidBlockScheduler::next(ThreadContext& tc, IterRange& out) {
   switch (pt.state) {
     case State::kSampling: {
       pt.sample_start = tc.now();
-      const IterRange r = pool_.take(chunk_, tc.tid, tc.shard);
+      const IterRange r = pool_.take(chunk_, tc.tid);
       if (r.empty()) {
         // Loop smaller than the team's sampling demand: this thread has
         // nothing to sample. Still contribute to the completion count so
         // the SF computation is not stalled for the others.
-        if (estimator_.record(tc.core_type, 0, 0)) finalize(tc);
+        if (estimator_.record(tc.core_type, 0, 0)) finalize();
         pt.state = State::kDrain;
         return false;
       }
@@ -171,7 +161,7 @@ bool AidBlockScheduler::next(ThreadContext& tc, IterRange& out) {
 
     case State::kAfterSampling: {
       const Nanos elapsed = tc.now() - pt.sample_start;
-      if (estimator_.record(tc.core_type, elapsed, pt.sampled)) finalize(tc);
+      if (estimator_.record(tc.core_type, elapsed, pt.sampled)) finalize();
       pt.state = State::kWait;
       [[fallthrough]];
     }
@@ -179,7 +169,7 @@ bool AidBlockScheduler::next(ThreadContext& tc, IterRange& out) {
     case State::kWait: {
       if (!aid_ready_.load(std::memory_order_acquire)) {
         // SAMPLING_WAIT: keep the core busy with dynamic chunk steals.
-        const IterRange r = pool_.take(chunk_, tc.tid, tc.shard);
+        const IterRange r = pool_.take(chunk_, tc.tid);
         if (r.empty()) return false;
         pt.delta += r.size();
         out = r;
@@ -193,7 +183,7 @@ bool AidBlockScheduler::next(ThreadContext& tc, IterRange& out) {
       return take_aid_block(tc, pt, out);
 
     case State::kDrain:
-      return drain(out, tc.tid, tc.shard);
+      return drain(out, tc.tid);
   }
   AID_CHECK(false);
   return false;

@@ -21,9 +21,13 @@
 // The Fig. 9 offline-SF variant (AID-static(offline-SF)) skips the sampling
 // phase entirely and trusts a caller-provided SF.
 //
-// Lock-free: the pool is a fetch-add WorkShare; sampling bookkeeping is the
-// SfEstimator's atomic counters (paper: "the implementation of AID-static is
-// lock free").
+// Lock-free: the pool is a fetch-add ShardedWorkShare; sampling bookkeeping
+// is the SfEstimator's atomic counters (paper: "the implementation of
+// AID-static is lock free"). The measured SF shapes the AID blocks only: it
+// is not fed back into the pool's per-core-type shards, which keep their
+// capacity split and rebalance themselves by bulk steals. Only the
+// offline-SF variant, whose SF is known before the loop starts, arms its
+// shards by SF (once, in reset()).
 #pragma once
 
 #include <atomic>
@@ -52,9 +56,6 @@ class AidBlockScheduler final : public LoopScheduler {
   [[nodiscard]] SchedulerStats stats() const override;
   [[nodiscard]] i64 pool_removals_of(int tid) const override {
     return pool_.removals_of(tid);
-  }
-  [[nodiscard]] int home_shard_of(int tid) const override {
-    return pool_.home_of(tid);
   }
   [[nodiscard]] i64 remaining() const override { return pool_.remaining(); }
 
@@ -85,12 +86,11 @@ class AidBlockScheduler final : public LoopScheduler {
     i64 delta = 0;    ///< δᵢ: iterations executed before entering AID
   };
 
-  void finalize(ThreadContext& tc);
+  void finalize();
   bool take_aid_block(ThreadContext& tc, PerThread& pt, IterRange& out);
-  bool drain(IterRange& out, int tid, int shard);
-  /// Fill shard_rate_ with the per-shard progress rates under the
-  /// published SF vector (feeds the bulk rebalance that pre-positions
-  /// shards for the AID blocks).
+  bool drain(IterRange& out, int tid);
+  /// Fill shard_rate_ with the per-shard SF sums under the offline SF
+  /// vector (the weights reset() arms the shards with).
   void fill_shard_rates();
 
   ShardedWorkShare pool_;
@@ -98,10 +98,10 @@ class AidBlockScheduler final : public LoopScheduler {
   std::atomic<bool> aid_ready_{false};
 
   // Written by the finalizing thread before the aid_ready_ release store;
-  // read by everyone else after an acquire load. Sized (sf_) or reserved
-  // (shard_rate_) in the ctor so finalize() performs no allocation.
+  // read by everyone else after an acquire load. Sized in the ctor so
+  // finalize() performs no allocation.
   std::vector<double> sf_;
-  std::vector<double> shard_rate_;
+  std::vector<double> shard_rate_;  ///< offline-SF shard weights (reset())
   double k_ = 0.0;
   double reported_sf_ = 0.0;
 
@@ -113,7 +113,7 @@ class AidBlockScheduler final : public LoopScheduler {
   const int nthreads_;
   std::vector<int> threads_per_type_;
   std::vector<double> nominal_speed_;
-  std::vector<int> type_of_tid_;  ///< feeds per-shard rates into rebalance
+  std::vector<int> type_of_tid_;  ///< feeds fill_shard_rates()
   std::vector<Padded<PerThread>> per_thread_;
 };
 

@@ -26,14 +26,10 @@ AidDynamicScheduler::AidDynamicScheduler(i64 count,
   for (int t = 0; t < layout.num_core_types(); ++t)
     threads_per_type_[static_cast<usize>(t)] = layout.threads_of_type(t);
   nominal_speed_.assign(static_cast<usize>(layout.num_core_types()), 1.0);
-  type_of_tid_.resize(static_cast<usize>(layout.nthreads()));
-  for (int tid = 0; tid < layout.nthreads(); ++tid) {
+  for (int tid = 0; tid < layout.nthreads(); ++tid)
     nominal_speed_[static_cast<usize>(layout.core_type_of(tid))] =
         layout.speed_of(tid);
-    type_of_tid_[static_cast<usize>(tid)] = layout.core_type_of(tid);
-  }
   ratio_.assign(static_cast<usize>(layout.num_core_types()), 1.0);
-  shard_rate_.reserve(static_cast<usize>(kMaxCoreTypes));
   reset(count);
 }
 
@@ -50,7 +46,7 @@ void AidDynamicScheduler::reset(i64 count) {
   endgame_.store(false, std::memory_order_release);
 }
 
-void AidDynamicScheduler::close_phase(int tid) {
+void AidDynamicScheduler::close_phase() {
   // Exactly one thread executes this per phase (the one whose record() call
   // returned true). All other threads are stealing m-chunks and cannot touch
   // the estimator until the next epoch is visible.
@@ -61,19 +57,6 @@ void AidDynamicScheduler::close_phase(int tid) {
       break;
     }
   }
-  if (pool_.nshards() > 1 && !endgame_.load(std::memory_order_relaxed)) {
-    // Imbalance estimator feeding the bulk-rebalance path: a shard's rate
-    // is the sum of its member threads' measured progress ratios, so the
-    // cluster the SF says will finish early receives a contiguous block
-    // now instead of chunk-stealing it remotely later.
-    // rebalance() accepts at most kMaxCoreTypes shards, so this assign
-    // stays within the reserved capacity: no allocation.
-    shard_rate_.assign(static_cast<usize>(pool_.nshards()), 0.0);
-    for (int t = 0; t < nthreads_; ++t)
-      shard_rate_[static_cast<usize>(pool_.home_of(t))] +=
-          ratio_[static_cast<usize>(type_of_tid_[static_cast<usize>(t)])];
-    pool_.rebalance(shard_rate_, /*min_block=*/major_chunk_, tid);
-  }
   phases_completed_.fetch_add(1, std::memory_order_relaxed);
   estimator_.reset(nthreads_);
   epoch_.fetch_add(1, std::memory_order_acq_rel);
@@ -81,7 +64,7 @@ void AidDynamicScheduler::close_phase(int tid) {
 
 bool AidDynamicScheduler::steal_minor(PerThread& pt, const ThreadContext& tc,
                                       IterRange& out, bool count_delta) {
-  const IterRange r = pool_.take(minor_chunk_, tc.tid, tc.shard);
+  const IterRange r = pool_.take(minor_chunk_, tc.tid);
   if (r.empty()) return false;
   if (count_delta) pt.delta += r.size();
   out = r;
@@ -108,16 +91,16 @@ bool AidDynamicScheduler::enter_phase(ThreadContext& tc, PerThread& pt,
     // immediate (zero-iteration) completion, carry the excess δᵢ into the
     // next phase and keep stealing.
     pt.delta = -want;
-    if (estimator_.record(tc.core_type, 0, 0)) close_phase(tc.tid);
+    if (estimator_.record(tc.core_type, 0, 0)) close_phase();
     pt.state = State::kWait;
     return steal_minor(pt, tc, out, /*count_delta=*/true);
   }
   pt.delta = 0;
-  const IterRange r = pool_.take(want, tc.tid, tc.shard);
+  const IterRange r = pool_.take(want, tc.tid);
   if (r.empty()) {
     // Pool drained under us; still count the phase contribution so peers
     // are not stalled, then end this worker's loop.
-    if (estimator_.record(tc.core_type, 0, 0)) close_phase(tc.tid);
+    if (estimator_.record(tc.core_type, 0, 0)) close_phase();
     pt.state = State::kWait;
     return false;
   }
@@ -147,7 +130,7 @@ bool AidDynamicScheduler::next(ThreadContext& tc, IterRange& out) {
       // thread that slipped into the endgame mid-phase.
       if (estimator_.record(tc.core_type, tc.now() - pt.block_start,
                             pt.block_iters))
-        close_phase(tc.tid);
+        close_phase();
       pt.state = State::kWait;
     }
     return steal_minor(pt, tc, out, /*count_delta=*/false);
@@ -156,9 +139,9 @@ bool AidDynamicScheduler::next(ThreadContext& tc, IterRange& out) {
   switch (pt.state) {
     case State::kSampling: {
       pt.block_start = tc.now();
-      const IterRange r = pool_.take(minor_chunk_, tc.tid, tc.shard);
+      const IterRange r = pool_.take(minor_chunk_, tc.tid);
       if (r.empty()) {
-        if (estimator_.record(tc.core_type, 0, 0)) close_phase(tc.tid);
+        if (estimator_.record(tc.core_type, 0, 0)) close_phase();
         pt.state = State::kWait;
         return false;
       }
@@ -171,7 +154,7 @@ bool AidDynamicScheduler::next(ThreadContext& tc, IterRange& out) {
     case State::kHaveBlock: {
       const Nanos elapsed = tc.now() - pt.block_start;
       if (estimator_.record(tc.core_type, elapsed, pt.block_iters))
-        close_phase(tc.tid);
+        close_phase();
       pt.state = State::kWait;
       [[fallthrough]];
     }

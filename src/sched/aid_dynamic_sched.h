@@ -20,6 +20,11 @@
 // (their count δᵢ is deducted from the next allotment), and a drained pool
 // simply ends the loop for whichever thread observes it — so the scheduler
 // cannot deadlock even when a phase never completes.
+//
+// R shapes the allotments only. The per-core-type sharded pool is not
+// re-weighted by it at phase boundaries: a cluster whose shard drains
+// early bulk-steals from the other (sharded_work_share.h), and feeding R
+// into the shards a second time measured slower (src/sched/README.md).
 #pragma once
 
 #include <atomic>
@@ -49,9 +54,6 @@ class AidDynamicScheduler final : public LoopScheduler {
   [[nodiscard]] i64 pool_removals_of(int tid) const override {
     return pool_.removals_of(tid);
   }
-  [[nodiscard]] int home_shard_of(int tid) const override {
-    return pool_.home_of(tid);
-  }
   [[nodiscard]] i64 remaining() const override { return pool_.remaining(); }
 
   /// Current per-type progress ratios R_t (R of the slowest type == 1);
@@ -79,11 +81,9 @@ class AidDynamicScheduler final : public LoopScheduler {
     i64 epoch_seen = 0;  ///< last phase epoch this thread joined
   };
 
-  /// Last thread of a phase: recompute R from the estimator, bulk-rebalance
-  /// the shards toward the new per-cluster rates, re-arm the estimator and
-  /// publish the next epoch. `tid` is the closing thread (it owns the
-  /// migration and its rebalance counter).
-  void close_phase(int tid);
+  /// Last thread of a phase: recompute R from the estimator, re-arm the
+  /// estimator and publish the next epoch.
+  void close_phase();
 
   /// Try to enter the current phase: take the uneven allotment (or record a
   /// no-op completion when δᵢ already covers the target). Returns true when
@@ -114,9 +114,6 @@ class AidDynamicScheduler final : public LoopScheduler {
   const int nthreads_;
   std::vector<int> threads_per_type_;
   std::vector<double> nominal_speed_;
-  std::vector<int> type_of_tid_;  ///< feeds per-shard rates into rebalance
-  /// close_phase()'s per-shard rates; capacity reserved in the ctor.
-  std::vector<double> shard_rate_;
   std::vector<Padded<PerThread>> per_thread_;
 
   // Written once per phase by its closing thread: alone on their line.

@@ -17,7 +17,7 @@ bool DynamicScheduler::next(ThreadContext& tc, IterRange& out) {
     out = {pool_.end(), pool_.end()};
     return false;
   }
-  out = pool_.take(chunk_, tc.tid, tc.shard);
+  out = pool_.take(chunk_, tc.tid);
   return !out.empty();
 }
 

@@ -7,8 +7,9 @@
 // often) at the price of one pool removal per chunk — the overhead the paper
 // shows can negate the benefit (IS: 1.93x slowdown; CG on Platform B: 2.86x).
 // Under a sharded topology (sharded_work_share.h) that per-chunk removal is
-// a cluster-local RMW on the thread's home shard; with the default
-// single-shard topology it is the classic shared fetch-add.
+// a cluster-local RMW on the home shard the pool looks up for the caller's
+// tid; with the default single-shard topology it is the classic shared
+// fetch-add.
 #pragma once
 
 #include "sched/loop_scheduler.h"
@@ -29,9 +30,6 @@ class DynamicScheduler final : public LoopScheduler {
   [[nodiscard]] SchedulerStats stats() const override;
   [[nodiscard]] i64 pool_removals_of(int tid) const override {
     return pool_.removals_of(tid);
-  }
-  [[nodiscard]] int home_shard_of(int tid) const override {
-    return pool_.home_of(tid);
   }
   [[nodiscard]] i64 remaining() const override { return pool_.remaining(); }
 

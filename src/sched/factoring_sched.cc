@@ -40,7 +40,7 @@ bool WeightedFactoringScheduler::next(ThreadContext& tc, IterRange& out) {
             static_cast<double>(remaining) * w / (2.0 * weight_sum_)));
         return want > 0 ? want : 1;
       },
-      tc.tid, tc.shard);
+      tc.tid);
   return !out.empty();
 }
 

@@ -43,9 +43,6 @@ class WeightedFactoringScheduler final : public LoopScheduler {
   [[nodiscard]] i64 pool_removals_of(int tid) const override {
     return pool_.removals_of(tid);
   }
-  [[nodiscard]] int home_shard_of(int tid) const override {
-    return pool_.home_of(tid);
-  }
   [[nodiscard]] i64 remaining() const override { return pool_.remaining(); }
 
   [[nodiscard]] const std::vector<double>& weights() const { return weights_; }

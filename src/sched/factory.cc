@@ -15,8 +15,8 @@ std::unique_ptr<LoopScheduler> make_scheduler(
     const platform::TeamLayout& layout) {
   // Single-pool arm: the simulator (and any caller that does not opt into
   // sharding) keeps modeling the paper's one libgomp work share. The
-  // empty topology IS the single-shard configuration — passing it avoids
-  // allocating a ShardTopology::single per loop construction.
+  // empty topology IS the single-shard configuration, so passing it
+  // allocates nothing per loop construction.
   return make_scheduler(spec, count, layout, ShardTopology{});
 }
 

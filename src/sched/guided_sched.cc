@@ -25,7 +25,7 @@ bool GuidedScheduler::next(ThreadContext& tc, IterRange& out) {
         const i64 q = remaining / nthreads_;
         return q > chunk_ ? q : chunk_;
       },
-      tc.tid, tc.shard);
+      tc.tid);
   return !out.empty();
 }
 

@@ -8,11 +8,11 @@
 // small-core thread can strand a huge early block while the shrinking tail
 // is too small to rebalance. bench_guided_comparison reproduces this.
 // Under a sharded topology the shrinking removal is computed against the
-// *segment* being CASed (the home shard's live segment in the common
+// *segment* being CASed (the caller's home-shard segment in the common
 // case) while the divisor stays the team-wide thread count, so chunks
-// shrink faster than classic guided — per cluster, and again per
-// migrated block. Cross-cluster traffic only appears when a cluster's
-// shard drains and the thread steals.
+// shrink faster than classic guided — per cluster, and again per block
+// the steal path migrates. Cross-cluster traffic only appears when a
+// cluster's shard drains and the thread steals.
 #pragma once
 
 #include "sched/loop_scheduler.h"
@@ -31,9 +31,6 @@ class GuidedScheduler final : public LoopScheduler {
   [[nodiscard]] SchedulerStats stats() const override;
   [[nodiscard]] i64 pool_removals_of(int tid) const override {
     return pool_.removals_of(tid);
-  }
-  [[nodiscard]] int home_shard_of(int tid) const override {
-    return pool_.home_of(tid);
   }
   [[nodiscard]] i64 remaining() const override { return pool_.remaining(); }
 

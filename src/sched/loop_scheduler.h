@@ -70,17 +70,6 @@ class LoopScheduler {
   /// (static) report 0 because their remaining work is per-thread state.
   [[nodiscard]] virtual i64 remaining() const { return 0; }
 
-  /// Home shard of one thread in this construct's pool. The runtime copies
-  /// it into ThreadContext::shard before the next() loop so every take
-  /// lands cluster-local; shard membership therefore follows whatever
-  /// layout the scheduler was built from (coherent across repartitions —
-  /// a new partition means a new scheduler, hence a new topology).
-  /// Pool-backed schedulers override; the default covers pool-less ones.
-  [[nodiscard]] virtual int home_shard_of(int tid) const {
-    (void)tid;
-    return 0;
-  }
-
  protected:
   LoopScheduler() = default;
 };
@@ -95,9 +84,11 @@ class LoopScheduler {
 
 /// Shard-aware overload: the runtime (the rt::WorkerPool engine under Team
 /// and leases, and the GOMP surface) passes a ShardTopology derived from
-/// the executing layout, giving every
-/// pool-backed scheduler a per-core-type sharded pool with cluster-local
-/// takes (sharded_work_share.h).
+/// the executing layout, giving every pool-backed scheduler a
+/// per-core-type sharded pool whose takes find the caller's home shard
+/// themselves (sharded_work_share.h). Shard membership therefore follows
+/// the layout the scheduler was built from: a new partition means a new
+/// scheduler, hence a new topology.
 [[nodiscard]] std::unique_ptr<LoopScheduler> make_scheduler(
     const ScheduleSpec& spec, i64 count, const platform::TeamLayout& layout,
     const ShardTopology& topo);

@@ -1,52 +1,26 @@
 #include "sched/shard_topology.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "common/env.h"
 
 namespace aid::sched {
 
-ShardTopology ShardTopology::single(int nthreads) {
-  ShardTopology topo;
-  topo.home_of_tid.assign(static_cast<usize>(nthreads > 0 ? nthreads : 1), 0);
-  topo.capacity.assign(1, static_cast<double>(nthreads > 0 ? nthreads : 1));
-  return topo;
-}
-
 ShardTopology ShardTopology::from_layout(const platform::TeamLayout& layout) {
-  return from_layout(
-      layout, static_cast<int>(env::get_int_at_least("AID_SHARDS", 0, 0)));
-}
-
-ShardTopology ShardTopology::from_layout(const platform::TeamLayout& layout,
-                                         int requested_shards) {
   // Shards are the *populated* core types: a type no team thread sits on
   // must not own iterations (nobody would drain them without stealing).
-  std::vector<int> populated;
+  std::vector<int> shard_of_type(
+      static_cast<usize>(layout.num_core_types()), -1);
+  int nshards = 0;
   for (int t = 0; t < layout.num_core_types(); ++t)
-    if (layout.threads_of_type(t) > 0) populated.push_back(t);
-  AID_CHECK(!populated.empty());
-
-  int eff = requested_shards <= 0 ? static_cast<int>(populated.size())
-                                  : requested_shards;
-  eff = std::min(eff, static_cast<int>(populated.size()));
-  eff = std::max(eff, 1);
+    if (layout.threads_of_type(t) > 0)
+      shard_of_type[static_cast<usize>(t)] = nshards++;
+  AID_CHECK(nshards > 0);
   // One shard == the classic single pool: return the empty topology so
   // nothing is allocated here or copied per construct (uniform layouts
-  // and AID_SHARDS=1 arm thousands of loops through this path).
-  if (eff == 1) return {};
-
-  // type -> shard (excess populated types merge into the last shard when
-  // AID_SHARDS caps the count below the type count).
-  std::vector<int> shard_of_type(
-      static_cast<usize>(layout.num_core_types()), 0);
-  for (usize i = 0; i < populated.size(); ++i)
-    shard_of_type[static_cast<usize>(populated[i])] =
-        std::min(static_cast<int>(i), eff - 1);
+  // arm thousands of loops through this path).
+  if (nshards == 1) return {};
 
   ShardTopology topo;
-  topo.capacity.assign(static_cast<usize>(eff), 0.0);
+  topo.capacity.assign(static_cast<usize>(nshards), 0.0);
   topo.home_of_tid.resize(static_cast<usize>(layout.nthreads()));
   for (int tid = 0; tid < layout.nthreads(); ++tid) {
     const int s = shard_of_type[static_cast<usize>(layout.core_type_of(tid))];

@@ -13,13 +13,8 @@
 // per construct from the layout that will execute it, which is what keeps
 // shard membership coherent across pool repartitions — a partition change
 // commits between ring entries (pool/pool_manager.cc), and every entry's
-// scheduler is built from the layout current at publish time.
-//
-// AID_SHARDS environment override (read by from_layout()):
-//   unset / 0  — auto: one shard per populated core type;
-//   1          — single-shard fallback: bit-for-bit the classic WorkShare
-//                path (the symmetric-layout / regression-proof mode);
-//   N > 1      — at most N shards (excess core types merge into the last).
+// scheduler is built from the layout current at publish time. The pool
+// looks a thread's home shard up in its own copy of the topology.
 #pragma once
 
 #include <vector>
@@ -41,24 +36,10 @@ struct ShardTopology {
     return capacity.empty() ? 1 : static_cast<int>(capacity.size());
   }
 
-  [[nodiscard]] int home_of(int tid) const {
-    if (home_of_tid.empty()) return 0;
-    return tid >= 0 && static_cast<usize>(tid) < home_of_tid.size()
-               ? home_of_tid[static_cast<usize>(tid)]
-               : 0;
-  }
-
-  /// One shard holding every thread — the classic single-pool behavior.
-  [[nodiscard]] static ShardTopology single(int nthreads);
-
-  /// One shard per populated core type of `layout`, honoring the
-  /// AID_SHARDS environment override (see file comment).
+  /// One shard per populated core type of `layout`; a layout with one
+  /// populated type yields the empty (single-shard) topology.
   [[nodiscard]] static ShardTopology from_layout(
       const platform::TeamLayout& layout);
-
-  /// Explicit shard count (<= populated core types; <=0 means auto).
-  [[nodiscard]] static ShardTopology from_layout(
-      const platform::TeamLayout& layout, int requested_shards);
 };
 
 }  // namespace aid::sched

@@ -1,9 +1,6 @@
 #include "sched/sharded_work_share.h"
 
-#include <array>
 #include <cmath>
-
-#include "sched/sf_estimator.h"
 
 namespace aid::sched {
 
@@ -19,6 +16,13 @@ ShardedWorkShare::ShardedWorkShare(ShardTopology topo, int nthreads)
   config_single_ = nshards_ < 2;
   single_mode_ = true;
   if (!config_single_) {
+    // The take path indexes home_of_tid by tid without clamping: a
+    // malformed topology fails here, once, instead of on every take.
+    AID_CHECK_MSG(topo_.home_of_tid.size() == static_cast<usize>(nthreads_),
+                  "ShardedWorkShare: topology needs one home per thread");
+    for (const int home : topo_.home_of_tid)
+      AID_CHECK_MSG(home >= 0 && home < nshards_,
+                    "ShardedWorkShare: home shard out of range");
     // Sized construction + swap: Padded<atomic> is neither copyable nor
     // movable, so resize() (which requires MoveInsertable) is unusable.
     std::vector<Padded<std::atomic<u64>>> segs(
@@ -98,7 +102,7 @@ IterRange ShardedWorkShare::take_stealing(i64 want, int tid, int home) {
     const i64 avail = remaining_of_shard(s);
     if (avail <= 0) continue;
     // Fat victim: move half of its remainder home in ONE cross-cluster
-    // CAS, then resume cluster-local removals — the bulk-rebalance case
+    // CAS, then resume cluster-local removals — the bulk-migration case
     // that keeps cross-cluster traffic per-block instead of per-chunk.
     const i64 bulk_min =
         want * 4 > kBulkStealMin ? want * 4 : kBulkStealMin;
@@ -204,52 +208,6 @@ bool ShardedWorkShare::migrate(int from, int to, i64 want_block,
   }
   migrating_.store(0, std::memory_order_release);
   return moved;
-}
-
-bool ShardedWorkShare::rebalance(const std::vector<double>& weights,
-                                 i64 min_block, int tid) {
-  if (single_mode_) return false;
-  AID_CHECK(static_cast<int>(weights.size()) == nshards_);
-  AID_CHECK(tid >= 0 && static_cast<usize>(tid) < counters_.size());
-  double wsum = 0.0;
-  for (const double w : weights) wsum += w > 0.0 ? w : 0.0;
-  if (wsum <= 0.0) return false;
-
-  // Fixed bound, no allocation: the AID schedulers call this from the
-  // thread that closes a phase, with one shard per core type.
-  AID_CHECK(nshards_ <= kMaxCoreTypes);
-  std::array<i64, kMaxCoreTypes> rem{};
-  i64 total = 0;
-  for (int s = 0; s < nshards_; ++s) {
-    rem[static_cast<usize>(s)] = remaining_of_shard(s);
-    total += rem[static_cast<usize>(s)];
-  }
-  if (total <= 0) return false;
-
-  // One block per call, from the shard most over its weight-proportional
-  // target to the shard most under it (the imbalance estimator's verdict
-  // of who finishes late and who finishes early).
-  int donor = -1, recip = -1;
-  i64 excess = 0, deficit = 0;
-  for (int s = 0; s < nshards_; ++s) {
-    const double w = weights[static_cast<usize>(s)];
-    const i64 target = std::llround(static_cast<double>(total) *
-                                    (w > 0.0 ? w : 0.0) / wsum);
-    const i64 diff = rem[static_cast<usize>(s)] - target;
-    if (diff > excess) {
-      excess = diff;
-      donor = s;
-    }
-    if (-diff > deficit) {
-      deficit = -diff;
-      recip = s;
-    }
-  }
-  if (donor < 0 || recip < 0 || donor == recip) return false;
-  const i64 block = excess < deficit ? excess : deficit;
-  if (min_block < 1) min_block = 1;
-  if (block < min_block) return false;
-  return migrate(donor, recip, block, min_block, tid);
 }
 
 }  // namespace aid::sched

@@ -9,7 +9,7 @@
 // hot {next, end} state lives alone in its own cache line and is written
 // only by its home cluster on the fast path, so the common-case removal is
 // a *cluster-local* RMW. Cross-cluster traffic happens per *steal* or per
-// *bulk rebalance* — not per chunk.
+// *bulk migration* — not per chunk.
 //
 // Mechanics (full design note + memory-ordering argument in
 // src/sched/README.md):
@@ -21,24 +21,21 @@
 //    clamp is computed from an atomic snapshot: no torn {next, end} pair
 //    can ever be observed. Takes larger than kFetchAddWantMax go through a
 //    CAS so the low half cannot carry into the end bits.
-//  * take(want, tid, home): fetch_add on the home shard; when home drains,
-//    scan the other shards — migrating HALF of a fat victim's remainder
-//    into the home shard in one CAS (bulk rebalance) or, for thin
-//    victims, removing a single chunk remotely (steal).
-//  * rebalance(weights): the estimator-driven path — the AID schedulers
-//    feed their measured speedup factors in after each phase, and one
-//    contiguous block moves from the shard that would finish late to the
-//    shard that would finish early.
+//  * take(want, tid): fetch_add on the caller's home shard, looked up in
+//    the pool's own topology; when home drains, scan the other shards —
+//    migrating HALF of a fat victim's remainder into the home shard in
+//    one CAS (bulk migration) or, for thin victims, removing a single
+//    chunk remotely (steal).
 //  * Exactly-once: every ownership transfer (take, cut, install) is a
 //    single CAS/fetch_add on one segment word, so transfers linearize per
 //    segment; a cut [e-b, e) can only succeed when the same atomic
 //    snapshot shows next <= e-b, and takers advance next only — the cut
 //    block can never overlap a claim (README has the full argument).
 //
-// Fallback: with one shard (AID_SHARDS=1, a uniform layout, a
-// default-constructed topology, or a loop too large for the 32-bit
-// packing) the pool delegates to a plain WorkShare — bit-for-bit the
-// classic single-pool behavior, so symmetric layouts cannot regress.
+// Fallback: with one shard (a uniform layout, a default-constructed
+// topology, or a loop too large for the 32-bit packing) the pool
+// delegates to a plain WorkShare — bit-for-bit the classic single-pool
+// behavior, so symmetric layouts cannot regress.
 #pragma once
 
 #include <atomic>
@@ -72,27 +69,27 @@ class ShardedWorkShare {
 
   /// `topo` assigns every tid a home shard (empty topology = one shard:
   /// the classic pool, with zero extra allocation); `nthreads` sizes the
-  /// per-thread counter slots, as in WorkShare.
+  /// per-thread counter slots, as in WorkShare. A multi-shard topology
+  /// must name one home in [0, nshards) per thread (checked here, once).
   explicit ShardedWorkShare(ShardTopology topo = {}, int nthreads = 1);
 
   /// Arm for a loop of `count` canonical iterations, split across shards
   /// proportional to the topology's nominal capacities.
   void reset(i64 count);
-  /// Arm with explicit per-shard weights (one per shard; the AID
-  /// schedulers pass measured speedup-factor aggregates).
+  /// Arm with explicit per-shard weights (one per shard; AID-static with
+  /// an offline SF passes its per-shard SF sums).
   void reset(i64 count, const std::vector<double>& weights);
 
-  /// Remove up to `want` iterations, preferring the caller's home shard.
-  /// `home` is the ThreadContext's home-shard id (clamped defensively).
+  /// Remove up to `want` iterations, preferring `tid`'s home shard.
   /// Returns an empty range only after every shard looked drained.
-  IterRange take(i64 want, int tid, int home) {
+  IterRange take(i64 want, int tid) {
     AID_DCHECK(want >= 1);
     if (single_mode_) {
       return single_.take(want, tid);
     }
     if (poisoned_.load(std::memory_order_relaxed)) return {count_, count_};
     AID_CHECK(tid >= 0 && tid < nthreads_);
-    if (home < 0 || home >= nshards_) home = 0;
+    const int home = home_shard(tid);
     IterRange r = take_from_shard(home, want);
     if (!r.empty()) {
       note_removal(tid, /*local=*/true);
@@ -106,13 +103,13 @@ class ShardedWorkShare {
   /// this is exactly WorkShare::take_adaptive). Pure CAS — never
   /// overshoots, so it needs no fetch_add want cap.
   template <typename WantFn>
-  IterRange take_adaptive(WantFn&& want_of, int tid, int home) {
+  IterRange take_adaptive(WantFn&& want_of, int tid) {
     if (single_mode_) {
       return single_.take_adaptive(static_cast<WantFn&&>(want_of), tid);
     }
     if (poisoned_.load(std::memory_order_relaxed)) return {count_, count_};
     AID_CHECK(tid >= 0 && tid < nthreads_);
-    if (home < 0 || home >= nshards_) home = 0;
+    const int home = home_shard(tid);
     for (int k = 0; k < nshards_; ++k) {
       const int s = (home + k) % nshards_;
       const int hint = hint_of(s).load(std::memory_order_relaxed);
@@ -154,16 +151,6 @@ class ShardedWorkShare {
     poisoned_.store(true, std::memory_order_release);
   }
 
-  /// Estimator-driven bulk rebalance: `weights[s]` is shard s's measured
-  /// progress rate (e.g. sum over member threads of their speedup
-  /// factors). Moves one contiguous block of at least `min_block`
-  /// iterations from the most over-provisioned shard (vs. a
-  /// weight-proportional split of the global remainder) to the most
-  /// under-provisioned one. Returns true when a block actually moved.
-  /// Safe to call concurrently with takes/steals from any thread. Needs
-  /// at most kMaxCoreTypes shards (one per core type); allocates nothing.
-  bool rebalance(const std::vector<double>& weights, i64 min_block, int tid);
-
   /// Iterations not yet handed out (may be stale under concurrency).
   [[nodiscard]] i64 remaining() const {
     if (single_mode_) return single_.remaining();
@@ -187,7 +174,9 @@ class ShardedWorkShare {
   [[nodiscard]] i64 end() const { return count_; }
   [[nodiscard]] int nshards() const { return single_mode_ ? 1 : nshards_; }
   [[nodiscard]] int home_of(int tid) const {
-    return single_mode_ ? 0 : topo_.home_of(tid);
+    if (single_mode_) return 0;
+    AID_CHECK(tid >= 0 && tid < nthreads_);
+    return home_shard(tid);
   }
 
   /// Successful removals (all shards; parity with WorkShare::removals()).
@@ -218,8 +207,7 @@ class ShardedWorkShare {
   [[nodiscard]] i64 remote_removals() const {
     return single_mode_ ? 0 : sum_counter(&Counters::remote);
   }
-  /// Contiguous blocks migrated between shards (steal-path bulk moves +
-  /// estimator-driven rebalances).
+  /// Contiguous blocks bulk-migrated between shards by the steal path.
   [[nodiscard]] i64 rebalances() const {
     return single_mode_ ? 0 : sum_counter(&Counters::rebalances);
   }
@@ -256,6 +244,10 @@ class ShardedWorkShare {
   }
   [[nodiscard]] const std::atomic<u64>& seg(int shard, int i) const {
     return segs_[static_cast<usize>(shard * kSegsPerShard + i)].value;
+  }
+  /// Sharded mode only: the ctor checked every entry against nshards_.
+  [[nodiscard]] int home_shard(int tid) const {
+    return topo_.home_of_tid[static_cast<usize>(tid)];
   }
   [[nodiscard]] std::atomic<int>& hint_of(int shard) {
     return hints_[static_cast<usize>(shard)].value;

@@ -3,7 +3,9 @@
 // The same scheduler code runs under the threaded runtime (real clock, real
 // threads) and the discrete-event simulator (virtual per-worker clock); the
 // ThreadContext carries everything a scheduler may consult about the calling
-// worker: its team id, the core type it is bound to, and a time source.
+// worker: its team id, the core type it is bound to, and a time source. It
+// carries no pool shard: a sharded pool finds the home shard of `tid` in
+// its own topology.
 #pragma once
 
 #include "common/cancel.h"
@@ -16,11 +18,6 @@ struct ThreadContext {
   int tid = 0;          ///< team-local thread id, 0..nthreads-1
   int core_type = 0;    ///< 0 = slowest core type on the platform
   double speed = 1.0;   ///< nominal relative speed of the bound core
-  /// Home shard in the construct's sharded pool (sched/shard_topology.h):
-  /// the runtime sets it from LoopScheduler::home_shard_of(tid) so a
-  /// scheduler's take path stays cluster-local without re-deriving the
-  /// mapping per call. 0 for single-pool constructs and the simulator.
-  int shard = 0;
   const TimeSource* time = nullptr;  ///< per-worker in the simulator
   /// The construct's cancellation token (the runtimes point it at the
   /// ring slot's embedded token; null in the simulator and in tests that

@@ -59,7 +59,7 @@ bool TrapezoidScheduler::next(ThreadContext& tc, IterRange& out) {
     return false;
   }
   const i64 k = chunk_index_.fetch_add(1, std::memory_order_relaxed);
-  out = pool_.take(chunk_size(k), tc.tid, tc.shard);
+  out = pool_.take(chunk_size(k), tc.tid);
   return !out.empty();
 }
 

@@ -33,9 +33,6 @@ class TrapezoidScheduler final : public LoopScheduler {
   [[nodiscard]] i64 pool_removals_of(int tid) const override {
     return pool_.removals_of(tid);
   }
-  [[nodiscard]] int home_shard_of(int tid) const override {
-    return pool_.home_of(tid);
-  }
   [[nodiscard]] i64 remaining() const override { return pool_.remaining(); }
 
   /// Size of the k-th dispensed chunk (exposed for tests):

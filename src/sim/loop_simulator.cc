@@ -77,9 +77,6 @@ LoopResult LoopSimulator::run(sched::LoopScheduler& sched, i64 count,
         .tid = t,
         .core_type = layout_.core_type_of(t),
         .speed = layout_.speed_of(t),
-        // 0 for the simulator's single-pool model; set properly in case a
-        // caller hands a shard-armed scheduler to the simulator.
-        .shard = sched.home_shard_of(t),
         .time = &clocks[static_cast<usize>(t)],
     };
   }

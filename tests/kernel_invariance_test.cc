@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/env.h"
 #include "rt/team.h"
 #include "workloads/workload.h"
 
@@ -55,11 +54,11 @@ INSTANTIATE_TEST_SUITE_P(
       return all_workloads()[static_cast<usize>(param_info.param)].name();
     });
 
-// The DataPar kernels also sweep the shard dimension: AID_SHARDS is read
-// at Team construction (ShardTopology::from_layout), so a fresh team per
-// setting exercises the forced-single-shard fallback and the auto layout.
-// The whole-suite × pool-mode coverage comes from the CI legs running this
-// binary under AID_POOL=1 / AID_POOL=1 AID_SHARDS=1.
+// The DataPar kernels also sweep the shard dimension: a Team arms one pool
+// shard per populated core type (ShardTopology::from_layout), so a
+// symmetric team exercises the single-shard pool and a 2-type AMP the
+// two-shard one. The whole-suite × pool-mode coverage comes from the CI
+// legs running this binary plainly and under AID_POOL=1.
 TEST(DataParShardInvariance, SameChecksumUnderShardSettings) {
   constexpr double kScale = 0.02;
   rt::Team serial(platform::generic_amp(1, 1, 2.0), 1,
@@ -76,14 +75,15 @@ TEST(DataParShardInvariance, SameChecksumUnderShardSettings) {
         serial, sched::ScheduleSpec::static_even(), kScale);
     ASSERT_TRUE(std::isfinite(reference)) << workload->name();
     const double tol = 1e-6 * std::max(1.0, std::fabs(reference));
-    for (const char* shards : {"1", "0"}) {  // forced single shard / auto
-      env::ScopedSet scoped("AID_SHARDS", shards);
-      rt::Team team(platform::generic_amp(2, 2, 2.0), 4,
-                    platform::Mapping::kBigFirst, /*emulate_amp=*/false);
+    // One shard (uniform layout) and two shards (big + small).
+    for (const auto& plat :
+         {platform::symmetric(4), platform::generic_amp(2, 2, 2.0)}) {
+      rt::Team team(plat, 4, platform::Mapping::kBigFirst,
+                    /*emulate_amp=*/false);
       for (const auto& spec : specs) {
         EXPECT_NEAR(workload->run_kernel(team, spec, kScale), reference, tol)
-            << workload->name() << " under " << spec.display()
-            << " AID_SHARDS=" << shards;
+            << workload->name() << " under " << spec.display() << " on "
+            << plat.name();
       }
     }
   }

@@ -6,18 +6,17 @@
 //    exactly once, for every scheduler, across repeated dispatches on the
 //    same persistent worker team (generation-counter reuse, barrier reuse);
 //  * pool_removals counts only *successful* takes — for plain dynamic the
-//    count is exactly ceil(NI / chunk) under the single-pool fallback
-//    (AID_SHARDS=1); under the default sharded pool each shard seam (and
-//    each bulk-rebalanced block) can add at most one extra clamped
-//    removal, and the count can never exceed NI (each success hands out
-//    >= 1 iteration), no matter how often drained probes hammer the
-//    endgame.
+//    count is exactly ceil(NI / chunk) on a single-shard pool (a
+//    symmetric team); under the per-core-type sharded pool each shard
+//    seam (and each bulk-migrated block) can add at most one extra
+//    clamped removal, and the count can never exceed NI (each success
+//    hands out >= 1 iteration), no matter how often drained probes hammer
+//    the endgame.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <vector>
 
-#include "common/env.h"
 #include "platform/platform.h"
 #include "rt/team.h"
 
@@ -73,11 +72,10 @@ TEST(ForkJoinStress, BackToBackLoopsCoverExactlyOnce) {
 }
 
 TEST(ForkJoinStress, DynamicRemovalCountIsExactWithSingleShard) {
-  // With removals counted only on success, dynamic(c) on the single-pool
-  // fallback performs exactly ceil(NI / c) removals — drained-pool probes
-  // by late workers add zero.
-  const env::ScopedSet shards("AID_SHARDS", "1");
-  Team team(platform::generic_amp(4, 4, 3.0), 8, Mapping::kBigFirst,
+  // With removals counted only on success, dynamic(c) on a single-shard
+  // pool (one core type: a symmetric team) performs exactly ceil(NI / c)
+  // removals — drained-pool probes by late workers add zero.
+  Team team(platform::symmetric(8), 8, Mapping::kBigFirst,
             /*emulate_amp=*/false);
   for (const i64 chunk : {i64{1}, i64{4}, i64{13}}) {
     for (const i64 count : {i64{1}, i64{13}, i64{500}, i64{5000}}) {

@@ -66,20 +66,19 @@ TEST(Team, WorkerInfoReflectsLayout) {
   Team team(small_amp(), 4, Mapping::kBigFirst, false);
   std::vector<std::atomic<int>> seen_type(4);
   for (auto& s : seen_type) s.store(-1);
-  team.run_loop(1000, ScheduleSpec::dynamic(1),
+  // Round-robin static chunks of 1 hand every tid iterations, so each
+  // tid's WorkerInfo is observed regardless of timing.
+  team.run_loop(1000, ScheduleSpec::static_chunked(1),
                 [&](i64, i64, const WorkerInfo& w) {
                   seen_type[static_cast<usize>(w.tid)].store(w.core_type);
                 });
+  for (int tid = 0; tid < 4; ++tid)
+    EXPECT_EQ(seen_type[static_cast<usize>(tid)].load(),
+              team.layout().core_type_of(tid))
+        << tid;
   // BS on 2s2b: tids 0,1 big (type 1).
   EXPECT_EQ(seen_type[0].load(), 1);
-  // Other threads may or may not win iterations, but if they did, the type
-  // must match the layout.
-  for (int tid = 0; tid < 4; ++tid) {
-    const int t = seen_type[static_cast<usize>(tid)].load();
-    if (t >= 0) {
-      EXPECT_EQ(t, team.layout().core_type_of(tid)) << tid;
-    }
-  }
+  EXPECT_EQ(seen_type[1].load(), 1);
 }
 
 TEST(Team, EmptyLoopCompletes) {
