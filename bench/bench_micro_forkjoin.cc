@@ -337,7 +337,7 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
       nthreads / 2 > 0 ? nthreads / 2 : 1, 2.0);
   const platform::TeamLayout layout(platform, nthreads,
                                     platform::Mapping::kBigFirst);
-  const sched::ShardTopology topo = sched::ShardTopology::from_layout(layout);
+  const sched::ShardTopology topo = sched::ShardTopology::per_core_type(layout);
   // Steal-heavy arming: invert the capacity split so the faster cluster's
   // threads drain home early and must steal or bulk-migrate.
   std::vector<double> skew(static_cast<usize>(topo.nshards()), 7.0);

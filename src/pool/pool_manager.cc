@@ -139,16 +139,6 @@ rt::WaitBudgets AppHandle::wait_budgets() const {
   return mgr_->pool_.budgets();
 }
 
-const sched::ShardTopology& AppHandle::shard_topology() const {
-  AID_CHECK_MSG(mgr_ != nullptr, "shard_topology on a released app lease");
-  std::scoped_lock lk(mgr_->mutex_);
-  const PoolManager::App& a = mgr_->app_of(id_);
-  AID_CHECK_MSG(a.topo != nullptr,
-                "shard_topology before the first partition adoption — pin "
-                "the partition (begin_region / a loop boundary) first");
-  return *a.topo;
-}
-
 // --- PoolManager -----------------------------------------------------------
 
 PoolManager& PoolManager::instance() {
@@ -344,8 +334,6 @@ void PoolManager::adopt(App& app) {
   app.current = std::move(achievable);
   app.layout = std::make_unique<platform::TeamLayout>(
       platform_, app.current, platform::Mapping::kBigFirst);
-  app.topo = std::make_unique<sched::ShardTopology>(
-      sched::ShardTopology::from_layout(*app.layout));
   // The partition moved: every cached scheduler bakes in the old layout's
   // thread count and shard topology. Idle instances die now; in-flight
   // ones (a chain committing between ring entries) die on their release.
@@ -394,12 +382,10 @@ rt::WorkerPool::Owner PoolManager::begin_construct(u64 id) {
     // was in flight, so nobody reads it concurrently with the reset); one
     // AppHandle::cancel() then kills every in-flight entry of it.
     a.cancel_token.reset();
-    // Shard membership follows the partition: the topology (rebuilt in
-    // adopt() alongside the layout) matches whatever partition this
-    // boundary committed, and the cache was invalidated if it moved — so a
-    // cache hit always re-arms an instance built for the current layout.
-    owner = {a.job.get(), a.cache.get(), a.topo.get(), &a.cancel_token,
-             &watchdog_};
+    // Shard membership follows the partition: the cache was invalidated in
+    // adopt() if the partition moved, so a cache hit always re-arms an
+    // instance built (and sharded) for the current layout.
+    owner = {a.job.get(), a.cache.get(), &a.cancel_token, &watchdog_};
     layout = a.layout.get();
   }
   // Outside the mutex: opening a window may bind the calling thread (a
@@ -438,7 +424,7 @@ void PoolManager::run_chain(u64 id, const pipeline::LoopChain& chain) {
   if (chain.empty()) return;
   const SteadyTimeSource clock;
   const Nanos t0 = clock.now();
-  rt::WorkerPool::Owner owner = begin_construct(id);
+  const rt::WorkerPool::Owner owner = begin_construct(id);
 
   // The between-entries hook: repartitions commit at ring-entry
   // granularity. `pending` is true when the arbiter has a new target for
@@ -463,7 +449,7 @@ void PoolManager::run_chain(u64 id, const pipeline::LoopChain& chain) {
     }
     return probe_result;
   };
-  hook.commit = [&](rt::WorkerPool::Owner& o) {
+  hook.commit = [&](const rt::WorkerPool::Owner& o) {
     const platform::TeamLayout* layout = nullptr;
     {
       std::unique_lock lk(mutex_);
@@ -476,7 +462,6 @@ void PoolManager::run_chain(u64 id, const pipeline::LoopChain& chain) {
       });
       a.in_loop = true;
       layout = a.layout.get();
-      o.topo = a.topo.get();
     }
     pool_.open_window(*layout, *o.job);
   };

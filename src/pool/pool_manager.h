@@ -37,7 +37,6 @@
 #include "rt/worker_pool.h"
 #include "sched/schedule_spec.h"
 #include "sched/scheduler_cache.h"
-#include "sched/shard_topology.h"
 
 namespace aid::pipeline {
 class LoopChain;
@@ -139,12 +138,6 @@ class AppHandle {
   /// so hold the reference only while a loop or region pins the layout.
   [[nodiscard]] sched::SchedulerCache& scheduler_cache();
 
-  /// Shard topology of the current partition (rebuilt with the layout on
-  /// every adoption). Same validity contract as the layout reference from
-  /// begin_region(): hold it only while a loop or region pins the
-  /// partition.
-  [[nodiscard]] const sched::ShardTopology& shard_topology() const;
-
   /// Spin/yield budgets of the shared engine's waits (sized for the
   /// platform's core count); the GOMP surface waits with the same.
   [[nodiscard]] rt::WaitBudgets wait_budgets() const;
@@ -233,10 +226,6 @@ class PoolManager {
     bool in_loop = false;
     int region_depth = 0;  ///< begin_region nesting; >0 defers adoption
     std::unique_ptr<platform::TeamLayout> layout;  // built over `current`
-    /// Shard topology of `layout`, rebuilt with it in adopt() so the
-    /// per-construct path does not re-derive it (an allocation)
-    /// on every loop.
-    std::unique_ptr<sched::ShardTopology> topo;
     /// Per-shape scheduler cache for this lease; invalidated in adopt()
     /// whenever the partition actually moves.
     std::unique_ptr<sched::SchedulerCache> cache;

@@ -11,7 +11,6 @@
 #include "sched/iteration_space.h"
 #include "sched/loop_scheduler.h"
 #include "sched/scheduler_cache.h"
-#include "sched/shard_topology.h"
 
 namespace aid::rt::gomp {
 namespace {
@@ -56,12 +55,10 @@ struct WorkShareSlot {
 
 struct GompTeamState {
   GompTeamState(int nthreads, const platform::TeamLayout& team_layout,
-                sched::SchedulerCache& sched_cache,
-                const sched::ShardTopology& team_topo, WaitBudgets waits)
+                sched::SchedulerCache& sched_cache, WaitBudgets waits)
       : barrier(nthreads),
         team_size(nthreads),
         layout(&team_layout),
-        topo(&team_topo),
         cache(&sched_cache),
         budgets(waits) {}
 
@@ -73,10 +70,6 @@ struct GompTeamState {
   // under AID_POOL the lease may repartition between regions, but within a
   // region every work share must see one consistent thread-to-core view.
   const platform::TeamLayout* layout = nullptr;
-  /// Shard topology of the pinned layout — the runtime owner's cached one
-  /// (Team's, or the lease's rebuilt-on-adoption copy), valid while the
-  /// region pins the layout; not re-derived per region or work share.
-  const sched::ShardTopology* topo = nullptr;
   /// The runtime's per-shape scheduler cache (team- or lease-owned): work
   /// shares re-arm cached instances instead of allocating per construct.
   sched::SchedulerCache* cache = nullptr;
@@ -125,7 +118,7 @@ void aid_gomp_parallel(void (*fn)(void*), void* data, unsigned num_threads) {
                 "libaid teams are fixed at startup; pass 0 threads");
 
   GompTeamState state(layout.nthreads(), layout, rt.scheduler_cache(),
-                      rt.shard_topology(), rt.wait_budgets());
+                      rt.wait_budgets());
   // Every team member executes fn exactly once: one canonical iteration per
   // thread via round-robin static chunks of size 1.
   rt.run_loop(layout.nthreads(), sched::ScheduleSpec::static_chunked(1),
@@ -186,8 +179,7 @@ bool aid_gomp_loop_runtime_start(long start, long end, long incr,
     // a cached scheduler instead of allocating one. Only a region's first
     // ring-depth of shapes ever misses.
     slot.sched = state.cache->acquire(Runtime::instance().default_schedule(),
-                                      space.count(), *state.layout,
-                                      *state.topo);
+                                      space.count(), *state.layout);
     slot.user_start = start;
     slot.user_incr = incr;
     slot.done.arm(state.team_size, seq);

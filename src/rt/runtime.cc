@@ -100,11 +100,6 @@ sched::SchedulerCache& Runtime::scheduler_cache() {
   return team_->scheduler_cache();
 }
 
-const sched::ShardTopology& Runtime::shard_topology() const {
-  if (lease_ != nullptr) return lease_->shard_topology();
-  return team_->shard_topology();
-}
-
 WaitBudgets Runtime::wait_budgets() const {
   if (lease_ != nullptr) return lease_->wait_budgets();
   return team_->wait_budgets();

@@ -115,12 +115,6 @@ class Runtime {
   /// region pins the layout (enter_region/exit_region).
   [[nodiscard]] sched::SchedulerCache& scheduler_cache();
 
-  /// Shard topology of the current layout (the team's fixed one, or the
-  /// leased partition's — rebuilt by the manager on adoption). Same
-  /// validity contract as scheduler_cache(): hold the reference only
-  /// while a region pins the layout.
-  [[nodiscard]] const sched::ShardTopology& shard_topology() const;
-
   /// Spin/yield budgets of the owning engine's waits (the team's, or the
   /// shared pool's); the GOMP work-share ring waits with the same.
   [[nodiscard]] WaitBudgets wait_budgets() const;

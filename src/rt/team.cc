@@ -11,7 +11,6 @@ Team::Team(const platform::Platform& platform, int nthreads,
            bool sf_cpu_time)
     : layout_(platform, nthreads > 0 ? nthreads : platform.num_cores(),
               mapping),
-      shard_topo_(sched::ShardTopology::from_layout(layout_)),
       pool_(platform, {emulate_amp, bind_threads, sf_cpu_time},
             rt::wait_budgets(layout_.nthreads())) {
   // The team's one window: binds the master and spawns the workers now, so

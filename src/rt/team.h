@@ -10,10 +10,12 @@
 //
 // The Team is a thin owner of the runtime's one dispatch engine
 // (rt/worker_pool.h — the same engine PoolManager leases partitions of):
-// it holds one PoolJob, the layout, its shard topology, scheduler cache and
-// watchdog, and opens the engine's window over its layout once, at
-// construction. The fork/join path is lock-free in steady state (see
-// src/rt/README.md).
+// it holds one PoolJob, the layout, its scheduler cache and watchdog, and
+// opens the engine's window over its layout once, at construction. Every
+// scheduler the cache builds shards its pool by the layout and the
+// schedule kind (sched::ShardTopology::for_schedule: one shard per thread
+// for dynamic, aid-static and aid-hybrid). The fork/join path is
+// lock-free in steady state (see src/rt/README.md).
 //
 // Thread-to-core semantics come from a TeamLayout (SB/BS mapping). On hosts
 // that are not real AMPs, per-core Throttles emulate the asymmetry
@@ -28,7 +30,6 @@
 #include "rt/worker_pool.h"
 #include "sched/loop_scheduler.h"
 #include "sched/scheduler_cache.h"
-#include "sched/shard_topology.h"
 
 namespace aid::rt {
 
@@ -102,23 +103,14 @@ class Team {
     return sched_cache_;
   }
 
-  /// The shard topology every construct of this team arms (fixed for the
-  /// team's lifetime). Exposed so the GOMP surface reuses it instead of
-  /// re-deriving one (an allocation) per parallel region.
-  [[nodiscard]] const sched::ShardTopology& shard_topology() const {
-    return shard_topo_;
-  }
-
   /// The spin/yield budgets of the team's waits (sized for nthreads); the
   /// GOMP surface waits on its work-share gates with the same.
   [[nodiscard]] WaitBudgets wait_budgets() const { return pool_.budgets(); }
 
  private:
   platform::TeamLayout layout_;
-  /// One pool shard per populated core type (ShardTopology::from_layout).
-  /// Fixed for the team's lifetime, as is the layout — so the scheduler
-  /// cache is never invalidated either.
-  sched::ShardTopology shard_topo_;
+  /// Fixed for the team's lifetime, as is the layout — so it is never
+  /// invalidated.
   sched::SchedulerCache sched_cache_;
   /// Declared before pool_: destruction runs in reverse, so the engine
   /// joins every worker before the job (whose gates a worker's final
@@ -131,8 +123,7 @@ class Team {
   /// Declared last so it is destroyed FIRST: its monitor thread may read
   /// the job's gates/tokens, which must still be alive while it joins.
   Watchdog watchdog_;
-  WorkerPool::Owner owner_{&job_, &sched_cache_, &shard_topo_, nullptr,
-                           &watchdog_};
+  WorkerPool::Owner owner_{&job_, &sched_cache_, nullptr, &watchdog_};
 };
 
 }  // namespace aid::rt

@@ -259,7 +259,7 @@ std::exception_ptr WorkerPool::run_loop(const Owner& owner, i64 count,
   // Cache-first: an idle same-shape instance is re-armed via reset()
   // instead of reallocating scheduler + shard pool per loop.
   sched::LoopScheduler* sched =
-      owner.cache->acquire(spec, count, layout, *owner.topo);
+      owner.cache->acquire(spec, count, layout);
 
   std::exception_ptr error;
   u64 wd = 0;
@@ -292,7 +292,7 @@ std::exception_ptr WorkerPool::run_loop(const Owner& owner, i64 count,
   return error;
 }
 
-std::exception_ptr WorkerPool::run_chain(Owner& owner,
+std::exception_ptr WorkerPool::run_chain(const Owner& owner,
                                          const pipeline::LoopChain& chain,
                                          const ChainHook* hook,
                                          sched::SchedulerStats& stats) {
@@ -360,9 +360,7 @@ std::exception_ptr WorkerPool::run_chain(Owner& owner,
       const u64 dep = loop.depends_on >= 0
                           ? seq0 + static_cast<u64>(loop.depends_on)
                           : 0;
-      publish(owner,
-              owner.cache->acquire(loop.spec, loop.count, *job.layout,
-                                   *owner.topo),
+      publish(owner, owner.cache->acquire(loop.spec, loop.count, *job.layout),
               &loop.body, dep, loop.spec.cancel, loop.spec.deadline_ns,
               wd_ids[seq % kRing]);
       ++pub;

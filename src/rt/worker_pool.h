@@ -48,7 +48,6 @@
 #include "rt/watchdog.h"
 #include "sched/loop_scheduler.h"
 #include "sched/scheduler_cache.h"
-#include "sched/shard_topology.h"
 
 namespace aid::pipeline {
 class LoopChain;
@@ -132,13 +131,12 @@ class WorkerPool {
   };
 
   /// What a construct runs against, supplied by its owner: the job whose
-  /// window is open, the scheduler cache and shard topology of that
-  /// window's layout, the owner-wide cancel parent (a lease's; Team has
-  /// none) and the watchdog deadlines are armed on.
+  /// window is open, the scheduler cache of that window's layout, the
+  /// owner-wide cancel parent (a lease's; Team has none) and the watchdog
+  /// deadlines are armed on.
   struct Owner {
     PoolJob* job = nullptr;
     sched::SchedulerCache* cache = nullptr;
-    const sched::ShardTopology* topo = nullptr;
     const CancelToken* cancel = nullptr;
     Watchdog* watchdog = nullptr;
   };
@@ -147,11 +145,10 @@ class WorkerPool {
   /// to commit repartitions mid-chain. `pending` is probed before every
   /// publish: once it returns true the driver stops publishing, runs the
   /// master's remaining shares, drains every published entry and calls
-  /// `commit`, which must re-open the owner's window (and update its
-  /// topo) on the new partition.
+  /// `commit`, which must re-open the owner's window on the new partition.
   struct ChainHook {
     std::function<bool()> pending;
-    std::function<void(Owner&)> commit;
+    std::function<void(const Owner&)> commit;
   };
 
   /// `budgets` size every dispatch and completion wait of this engine.
@@ -186,7 +183,7 @@ class WorkerPool {
   /// depends_on edges gate entry, and it blocks only at the chain-end
   /// flush. `hook` may be null. Returns the chain's first entry error
   /// (after the flush); `stats` gets the final entry's stats.
-  [[nodiscard]] std::exception_ptr run_chain(Owner& owner,
+  [[nodiscard]] std::exception_ptr run_chain(const Owner& owner,
                                              const pipeline::LoopChain& chain,
                                              const ChainHook* hook,
                                              sched::SchedulerStats& stats);

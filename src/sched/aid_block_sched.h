@@ -23,11 +23,12 @@
 //
 // Lock-free: the pool is a fetch-add ShardedWorkShare; sampling bookkeeping
 // is the SfEstimator's atomic counters (paper: "the implementation of
-// AID-static is lock free"). The measured SF shapes the AID blocks only: it
-// is not fed back into the pool's per-core-type shards, which keep their
-// capacity split and rebalance themselves by bulk steals. Only the
-// offline-SF variant, whose SF is known before the loop starts, arms its
-// shards by SF (once, in reset()).
+// AID-static is lock free"). The runtime arms one pool shard per thread
+// (ShardTopology::for_schedule), so each thread's AID block comes from its
+// own home shard. The measured SF shapes the AID blocks only: it is not fed
+// back into the shards, which keep their nominal-speed split and rebalance
+// themselves by bulk steals. Only the offline-SF variant, whose SF is known
+// before the loop starts, arms its shards by SF (once, in reset()).
 #pragma once
 
 #include <atomic>

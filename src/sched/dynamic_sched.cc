@@ -6,7 +6,8 @@ namespace aid::sched {
 
 DynamicScheduler::DynamicScheduler(i64 count, i64 chunk, int nthreads,
                                    ShardTopology topo)
-    : pool_(std::move(topo), nthreads), chunk_(chunk > 0 ? chunk : 1) {
+    : pool_(std::move(topo), nthreads, chunk > 0 ? chunk : 1),
+      chunk_(chunk > 0 ? chunk : 1) {
   AID_CHECK(count >= 0);
   pool_.reset(count);
 }

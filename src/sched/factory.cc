@@ -10,23 +10,16 @@
 
 namespace aid::sched {
 
-std::unique_ptr<LoopScheduler> make_scheduler(
-    const ScheduleSpec& spec, i64 count,
-    const platform::TeamLayout& layout) {
-  // Single-pool arm: the simulator (and any caller that does not opt into
-  // sharding) keeps modeling the paper's one libgomp work share. The
-  // empty topology IS the single-shard configuration, so passing it
-  // allocates nothing per loop construction.
-  return make_scheduler(spec, count, layout, ShardTopology{});
-}
+namespace {
 
-std::unique_ptr<LoopScheduler> make_scheduler(
-    const ScheduleSpec& spec, i64 count, const platform::TeamLayout& layout,
-    const ShardTopology& topo) {
+std::unique_ptr<LoopScheduler> build(const ScheduleSpec& spec, i64 count,
+                                     const platform::TeamLayout& layout,
+                                     const ShardTopology& topo) {
   // This is the cold construction path: the runtime layers front it with
   // a per-shape SchedulerCache (sched/scheduler_cache.h) that re-arms an
-  // idle instance via reset() per construct, so this switch runs once per
-  // (shape, layout generation) — not once per loop.
+  // idle instance via reset() per construct, so this switch (and the
+  // topology derivation) runs once per (shape, layout generation) — not
+  // once per loop.
   switch (spec.kind) {
     case ScheduleKind::kStatic:
       return std::make_unique<StaticScheduler>(count, layout, spec.chunk);
@@ -61,6 +54,23 @@ std::unique_ptr<LoopScheduler> make_scheduler(
   }
   AID_CHECK(false);
   return nullptr;
+}
+
+}  // namespace
+
+std::unique_ptr<LoopScheduler> make_scheduler(
+    const ScheduleSpec& spec, i64 count,
+    const platform::TeamLayout& layout) {
+  // Single-pool arm: the simulator keeps modeling the paper's one libgomp
+  // work share. The empty topology IS the single-shard configuration.
+  return build(spec, count, layout, ShardTopology{});
+}
+
+std::unique_ptr<LoopScheduler> make_sharded_scheduler(
+    const ScheduleSpec& spec, i64 count,
+    const platform::TeamLayout& layout) {
+  return build(spec, count, layout,
+               ShardTopology::for_schedule(spec.kind, layout));
 }
 
 }  // namespace aid::sched

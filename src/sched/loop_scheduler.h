@@ -16,7 +16,6 @@
 #include "platform/team_layout.h"
 #include "sched/iteration_space.h"
 #include "sched/schedule_spec.h"
-#include "sched/shard_topology.h"
 #include "sched/thread_context.h"
 
 namespace aid::sched {
@@ -82,15 +81,13 @@ class LoopScheduler {
 [[nodiscard]] std::unique_ptr<LoopScheduler> make_scheduler(
     const ScheduleSpec& spec, i64 count, const platform::TeamLayout& layout);
 
-/// Shard-aware overload: the runtime (the rt::WorkerPool engine under Team
-/// and leases, and the GOMP surface) passes a ShardTopology derived from
-/// the executing layout, giving every pool-backed scheduler a
-/// per-core-type sharded pool whose takes find the caller's home shard
-/// themselves (sharded_work_share.h). Shard membership therefore follows
-/// the layout the scheduler was built from: a new partition means a new
-/// scheduler, hence a new topology.
-[[nodiscard]] std::unique_ptr<LoopScheduler> make_scheduler(
-    const ScheduleSpec& spec, i64 count, const platform::TeamLayout& layout,
-    const ShardTopology& topo);
+/// The runtime's arm (SchedulerCache's miss path, under the rt::WorkerPool
+/// engine of Team and leases and the GOMP surface): the same scheduler over
+/// a pool sharded by ShardTopology::for_schedule(spec.kind, layout), whose
+/// takes find the caller's home shard themselves (sharded_work_share.h).
+/// Shard membership therefore follows the layout the scheduler was built
+/// from: a new partition means a new scheduler, hence a new topology.
+[[nodiscard]] std::unique_ptr<LoopScheduler> make_sharded_scheduler(
+    const ScheduleSpec& spec, i64 count, const platform::TeamLayout& layout);
 
 }  // namespace aid::sched

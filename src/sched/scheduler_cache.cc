@@ -7,8 +7,7 @@
 namespace aid::sched {
 
 LoopScheduler* SchedulerCache::acquire(const ScheduleSpec& spec, i64 count,
-                                       const platform::TeamLayout& layout,
-                                       const ShardTopology& topo) {
+                                       const platform::TeamLayout& layout) {
   std::unique_lock lock(mutex_);
   for (Entry& e : entries_) {
     if (e.busy || e.epoch != epoch_ || !(e.spec == spec)) continue;
@@ -28,7 +27,7 @@ LoopScheduler* SchedulerCache::acquire(const ScheduleSpec& spec, i64 count,
   lock.unlock();
   // Miss: construct outside the lock (the expensive path this cache
   // exists to amortize), then register the busy entry.
-  auto fresh = make_scheduler(spec, count, layout, topo);
+  auto fresh = make_sharded_scheduler(spec, count, layout);
   LoopScheduler* raw = fresh.get();
   lock.lock();
   entries_.push_back(Entry{spec, std::move(fresh), /*busy=*/true, epoch});

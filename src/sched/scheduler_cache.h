@@ -9,7 +9,7 @@
 // are documented reusable via reset() (loop_scheduler.h) — so the runtime
 // layers (rt::Team, pool::PoolManager app leases, the GOMP work-share
 // ring) keep a small cache of instances keyed by *ScheduleSpec shape* and
-// re-arm a cached instance instead of calling make_scheduler per
+// re-arm a cached instance instead of calling make_sharded_scheduler per
 // construct. reset() re-arms everything per-execution, including the
 // sharded pool's proportional split and the per-thread removal counters
 // (sharded_work_share.h), so a reused instance is observably fresh.
@@ -57,13 +57,13 @@ class SchedulerCache {
 
   /// A scheduler for `count` iterations under `spec` on `layout`: a cached
   /// idle instance of the same shape re-armed via reset(count), or a fresh
-  /// make_scheduler(spec, count, layout, topo) on miss. The instance stays
-  /// owned by the cache; the caller must release() it after the construct
-  /// fully completed and its stats were read. The caller's layout/topo
-  /// must be the ones this cache was (in)validated for.
+  /// make_sharded_scheduler(spec, count, layout) on miss (which derives the
+  /// shard topology). The instance stays owned by the cache; the caller
+  /// must release() it after the construct fully completed and its stats
+  /// were read. The caller's layout must be the one this cache was
+  /// (in)validated for.
   [[nodiscard]] LoopScheduler* acquire(const ScheduleSpec& spec, i64 count,
-                                       const platform::TeamLayout& layout,
-                                       const ShardTopology& topo);
+                                       const platform::TeamLayout& layout);
 
   /// Return an acquired instance. It becomes reusable immediately —
   /// callers release only after the construct's completion gate closed and

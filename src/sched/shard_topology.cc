@@ -4,7 +4,8 @@
 
 namespace aid::sched {
 
-ShardTopology ShardTopology::from_layout(const platform::TeamLayout& layout) {
+ShardTopology ShardTopology::per_core_type(
+    const platform::TeamLayout& layout) {
   // Shards are the *populated* core types: a type no team thread sits on
   // must not own iterations (nobody would drain them without stealing).
   std::vector<int> shard_of_type(
@@ -15,8 +16,7 @@ ShardTopology ShardTopology::from_layout(const platform::TeamLayout& layout) {
       shard_of_type[static_cast<usize>(t)] = nshards++;
   AID_CHECK(nshards > 0);
   // One shard == the classic single pool: return the empty topology so
-  // nothing is allocated here or copied per construct (uniform layouts
-  // arm thousands of loops through this path).
+  // nothing is allocated here or copied per construct.
   if (nshards == 1) return {};
 
   ShardTopology topo;
@@ -28,6 +28,44 @@ ShardTopology ShardTopology::from_layout(const platform::TeamLayout& layout) {
     topo.capacity[static_cast<usize>(s)] += layout.speed_of(tid);
   }
   return topo;
+}
+
+ShardTopology ShardTopology::per_thread(const platform::TeamLayout& layout) {
+  if (layout.nthreads() < 2) return {};
+  ShardTopology topo;
+  topo.home_of_tid.resize(static_cast<usize>(layout.nthreads()));
+  topo.capacity.resize(static_cast<usize>(layout.nthreads()));
+  for (int tid = 0; tid < layout.nthreads(); ++tid) {
+    topo.home_of_tid[static_cast<usize>(tid)] = tid;
+    topo.capacity[static_cast<usize>(tid)] = layout.speed_of(tid);
+  }
+  return topo;
+}
+
+ShardTopology ShardTopology::for_schedule(ScheduleKind kind,
+                                          const platform::TeamLayout& layout) {
+  switch (kind) {
+    case ScheduleKind::kStatic:
+      return {};  // no pool to shard
+    case ScheduleKind::kDynamic:
+    case ScheduleKind::kAidStatic:
+    case ScheduleKind::kAidHybrid:
+      // Fixed-size takes: a private home word per thread, thieves bulk-
+      // migrate. AID's blocks are each thread's own share, so its home
+      // shard already holds it.
+      return per_thread(layout);
+    case ScheduleKind::kAidDynamic:
+    case ScheduleKind::kGuided:
+    case ScheduleKind::kTrapezoid:
+    case ScheduleKind::kWeightedFactoring:
+      // aid-dynamic measured slower on small loops with per-thread shards
+      // (src/sched/README.md); guided and factoring size each chunk by its
+      // segment's remainder, so per-thread shards would change their chunk
+      // sequence; trapezoid is not measured end to end.
+      return per_core_type(layout);
+  }
+  AID_CHECK(false);
+  return {};
 }
 
 }  // namespace aid::sched

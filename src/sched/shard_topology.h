@@ -1,26 +1,33 @@
-// Shard layout for per-core-type iteration pools.
+// Shard layout for sharded iteration pools.
 //
 // A ShardTopology maps every team thread to a *home shard* — the pool
-// partition whose hot {next, end} line only same-cluster threads write on
-// the fast path (see sched/sharded_work_share.h and src/sched/README.md).
-// Shards correspond to the populated core types of a TeamLayout: on a
-// big.LITTLE team there is one big-core shard and one small-core shard, so
-// the self-scheduling fetch-and-add traffic of each cluster stays
-// cluster-local (the Catalán et al. / Krishna & Balachandran partitioning
-// argument, PAPERS.md).
+// partition whose hot segment word only that shard's members write on the
+// fast path (see sched/sharded_work_share.h and src/sched/README.md). Two
+// layouts exist, and the schedule kind picks one (for_schedule):
 //
-// The topology is *mechanism description*, not policy: it is computed once
-// per construct from the layout that will execute it, which is what keeps
-// shard membership coherent across pool repartitions — a partition change
-// commits between ring entries (pool/pool_manager.cc), and every entry's
-// scheduler is built from the layout current at publish time. The pool
-// looks a thread's home shard up in its own copy of the topology.
+//  * per thread — one shard per team thread, capacity = its nominal speed.
+//    A fixed-chunk take is then an RMW on a word no other thread writes
+//    until a thief bulk-migrates from it: the nonmonotonic `dynamic`
+//    OpenMP 5.0 allows (LLVM libomp's static_steal), carried over to the
+//    AID-static/-hybrid allotments.
+//  * per core type — one shard per populated core type, so the
+//    self-scheduling traffic of each cluster stays cluster-local (the
+//    Catalán et al. / Krishna & Balachandran partitioning argument,
+//    PAPERS.md).
+//
+// The topology is *mechanism description*, not policy: it is derived from
+// the layout a scheduler is built for (the factory's cache-miss path), which
+// is what keeps shard membership coherent across pool repartitions — a
+// partition change invalidates the owner's scheduler cache, so every
+// scheduler built afterwards derives its topology from the new layout. The
+// pool looks a thread's home shard up in its own copy of the topology.
 #pragma once
 
 #include <vector>
 
 #include "common/types.h"
 #include "platform/team_layout.h"
+#include "sched/schedule_spec.h"
 
 namespace aid::sched {
 
@@ -38,8 +45,20 @@ struct ShardTopology {
 
   /// One shard per populated core type of `layout`; a layout with one
   /// populated type yields the empty (single-shard) topology.
-  [[nodiscard]] static ShardTopology from_layout(
+  [[nodiscard]] static ShardTopology per_core_type(
       const platform::TeamLayout& layout);
+
+  /// One shard per thread of `layout` (home = tid, capacity = its nominal
+  /// speed); a one-thread layout yields the empty topology.
+  [[nodiscard]] static ShardTopology per_thread(
+      const platform::TeamLayout& layout);
+
+  /// The topology a runtime-built scheduler of `kind` arms on `layout` —
+  /// the one place that choice is made. Per thread for `dynamic`,
+  /// `aid-static` and `aid-hybrid`; per core type for the rest (static
+  /// has no pool, so it gets the empty topology).
+  [[nodiscard]] static ShardTopology for_schedule(
+      ScheduleKind kind, const platform::TeamLayout& layout);
 };
 
 }  // namespace aid::sched

@@ -4,9 +4,11 @@
 
 namespace aid::sched {
 
-ShardedWorkShare::ShardedWorkShare(ShardTopology topo, int nthreads)
+ShardedWorkShare::ShardedWorkShare(ShardTopology topo, int nthreads,
+                                   i64 grain)
     : topo_(std::move(topo)),
       nthreads_(nthreads > 0 ? nthreads : 1),
+      grain_(grain > 0 ? grain : 1),
       single_(nthreads) {
   // An empty topology IS the single-shard configuration: nothing beyond
   // the embedded WorkShare is allocated, so a single-pool construct costs
@@ -69,22 +71,23 @@ void ShardedWorkShare::reset(i64 count, const std::vector<double>& weights) {
   double wsum = 0.0;
   for (const double w : weights) wsum += w > 0.0 ? w : 0.0;
   // Contiguous proportional split: shard s gets [B_s, B_{s+1}) with the
-  // boundaries at the rounded cumulative weight fractions; zero/degenerate
-  // weights fall back to an even split.
+  // boundaries at the cumulative weight fractions, rounded to the nearest
+  // multiple of the grain; zero/degenerate weights fall back to an even
+  // split.
+  const double grain = static_cast<double>(grain_);
   i64 prev = 0;
   double acc = 0.0;
   for (int s = 0; s < nshards_; ++s) {
     acc += weights[static_cast<usize>(s)] > 0.0
                ? weights[static_cast<usize>(s)]
                : 0.0;
-    i64 bound;
-    if (s + 1 == nshards_) {
-      bound = count;
-    } else if (wsum > 0.0) {
-      bound = std::llround(static_cast<double>(count) * acc / wsum);
-    } else {
-      bound = count * (s + 1) / nshards_;
-    }
+    const double share = wsum > 0.0 ? acc / wsum
+                                    : static_cast<double>(s + 1) / nshards_;
+    i64 bound = s + 1 == nshards_
+                    ? count
+                    : std::llround(static_cast<double>(count) * share /
+                                   grain) *
+                          grain_;
     if (bound < prev) bound = prev;
     if (bound > count) bound = count;
     seg(s, 0).store(pack(prev, bound), std::memory_order_release);
@@ -101,9 +104,9 @@ IterRange ShardedWorkShare::take_stealing(i64 want, int tid, int home) {
     const int s = (home + k) % nshards_;
     const i64 avail = remaining_of_shard(s);
     if (avail <= 0) continue;
-    // Fat victim: move half of its remainder home in ONE cross-cluster
-    // CAS, then resume cluster-local removals — the bulk-migration case
-    // that keeps cross-cluster traffic per-block instead of per-chunk.
+    // Fat victim: move half of its remainder home in ONE cross-shard CAS,
+    // then resume home-local removals — the bulk-migration case that keeps
+    // cross-shard traffic per-block instead of per-chunk.
     const i64 bulk_min =
         want * 4 > kBulkStealMin ? want * 4 : kBulkStealMin;
     if (avail >= bulk_min &&
@@ -169,33 +172,35 @@ bool ShardedWorkShare::migrate(int from, int to, i64 want_block,
     for (;;) {
       const i64 n = unpack_next(w);
       const i64 e = unpack_end(w);
-      const i64 avail = e - n;
-      if (avail < 2 * min_block) break;  // donor keeps at least min_block
-      const i64 cap = avail - min_block;
-      const i64 b = want_block < cap ? want_block : cap;
-      if (b < min_block) break;
-      if (word.compare_exchange_weak(w, pack(n, e - b),
+      // The cut point: at most want_block below the end, the donor keeping
+      // at least min_block, rounded up onto the grain (the donor only
+      // grows) so the donor's chunks and the block's stay whole.
+      i64 cut = e - want_block > n + min_block ? e - want_block
+                                               : n + min_block;
+      cut = (cut + grain_ - 1) / grain_ * grain_;
+      if (e - cut < min_block) break;
+      if (word.compare_exchange_weak(w, pack(n, cut),
                                      std::memory_order_acq_rel,
                                      std::memory_order_acquire)) {
-        // The cut linearized at a state where next == n <= e - b, and
+        // The cut linearized at a state where next == n <= cut, and
         // claims are prefixes [0, next): no outstanding claim reaches
-        // into [e - b, e) — we own the block exclusively.
-        if (install(to, e - b, e)) {
+        // into [cut, e) — we own the block exclusively.
+        if (install(to, cut, e)) {
           Counters& c = counters_[static_cast<usize>(tid)];
           add_owned(c.rebalances);
-          add_owned(c.rebalanced_iters, b);
+          add_owned(c.rebalanced_iters, e - cut);
           moved = true;
         } else {
           // Every slot of `to` is live: merge the block back into the
-          // donor. Its end is still e - b (we hold migrating_), so the
-          // block stays adjacent; a cursor that overshot past e - b
+          // donor. Its end is still `cut` (we hold migrating_), so the
+          // block stays adjacent; a cursor that overshot past the cut
           // represents discarded (empty) claims, so winding it back to
-          // e - b re-exposes only iterations nobody was handed.
+          // the cut re-exposes only iterations nobody was handed.
           u64 cur = word.load(std::memory_order_relaxed);
           for (;;) {
-            AID_DCHECK(unpack_end(cur) == e - b);
+            AID_DCHECK(unpack_end(cur) == cut);
             const i64 nc = unpack_next(cur);
-            const i64 new_next = nc < e - b ? nc : e - b;
+            const i64 new_next = nc < cut ? nc : cut;
             if (word.compare_exchange_weak(cur, pack(new_next, e),
                                            std::memory_order_acq_rel,
                                            std::memory_order_relaxed))

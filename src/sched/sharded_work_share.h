@@ -1,15 +1,15 @@
-// Per-core-type sharded iteration pool.
+// Sharded iteration pool.
 //
 // The single fetch-add WorkShare (work_share.h) makes every removal an RMW
-// on one cache line shared by all clusters of an asymmetric CPU; at high
-// thread counts the runtime overhead the paper measures (Sec. 4.2) is
-// dominated by that cross-cluster coherence traffic, not by useful
-// removals. ShardedWorkShare splits the canonical space into one shard per
-// core type (generalized to N clusters via ShardTopology): each shard's
-// hot {next, end} state lives alone in its own cache line and is written
-// only by its home cluster on the fast path, so the common-case removal is
-// a *cluster-local* RMW. Cross-cluster traffic happens per *steal* or per
-// *bulk migration* — not per chunk.
+// on one cache line shared by the whole team; at high thread counts the
+// runtime overhead the paper measures (Sec. 4.2) is dominated by that
+// coherence traffic, not by useful removals. ShardedWorkShare splits the
+// canonical space into shards (ShardTopology: one per team thread, or one
+// per core type): each shard's hot {next, end} state lives alone in its own
+// cache line and is written only by its home threads on the fast path, so
+// the common-case removal is a *home-local* RMW — with per-thread shards,
+// an RMW on a word no other thread writes. Cross-shard traffic happens per
+// *steal* or per *bulk migration* — not per chunk.
 //
 // Mechanics (full design note + memory-ordering argument in
 // src/sched/README.md):
@@ -26,16 +26,21 @@
 //    migrating HALF of a fat victim's remainder into the home shard in
 //    one CAS (bulk migration) or, for thin victims, removing a single
 //    chunk remotely (steal).
+//  * Grain: every shard boundary reset() draws and every migration cut
+//    point sits on a multiple of the pool's grain (dynamic's chunk, else
+//    1), so fixed-size takes of one grain stay whole: only the chunk that
+//    holds the loop's last iteration can come out short, as OpenMP's
+//    dynamic(c) requires.
 //  * Exactly-once: every ownership transfer (take, cut, install) is a
 //    single CAS/fetch_add on one segment word, so transfers linearize per
 //    segment; a cut [e-b, e) can only succeed when the same atomic
 //    snapshot shows next <= e-b, and takers advance next only — the cut
 //    block can never overlap a claim (README has the full argument).
 //
-// Fallback: with one shard (a uniform layout, a default-constructed
-// topology, or a loop too large for the 32-bit packing) the pool
-// delegates to a plain WorkShare — bit-for-bit the classic single-pool
-// behavior, so symmetric layouts cannot regress.
+// Fallback: with one shard (a one-thread or uniform per-core-type layout,
+// a default-constructed topology, or a loop too large for the 32-bit
+// packing) the pool delegates to a plain WorkShare — bit-for-bit the
+// classic single-pool behavior.
 #pragma once
 
 #include <atomic>
@@ -71,10 +76,13 @@ class ShardedWorkShare {
   /// the classic pool, with zero extra allocation); `nthreads` sizes the
   /// per-thread counter slots, as in WorkShare. A multi-shard topology
   /// must name one home in [0, nshards) per thread (checked here, once).
-  explicit ShardedWorkShare(ShardTopology topo = {}, int nthreads = 1);
+  /// `grain` aligns shard boundaries and migration cuts (see above).
+  explicit ShardedWorkShare(ShardTopology topo = {}, int nthreads = 1,
+                            i64 grain = 1);
 
   /// Arm for a loop of `count` canonical iterations, split across shards
-  /// proportional to the topology's nominal capacities.
+  /// proportional to the topology's nominal capacities (boundaries rounded
+  /// to the nearest multiple of the grain).
   void reset(i64 count);
   /// Arm with explicit per-shard weights (one per shard; AID-static with
   /// an offline SF passes its per-shard SF sums).
@@ -306,9 +314,10 @@ class ShardedWorkShare {
   IterRange take_stealing(i64 want, int tid, int home);
 
   /// Cut up to `want_block` iterations (at least `min_block`, leaving the
-  /// donor at least `min_block`) off the top of shard `from` and install
-  /// them as a fresh segment of shard `to`. Serialized by migrating_ so a
-  /// cut block can always be merged back if `to` has no free segment.
+  /// donor at least `min_block`, the cut on a multiple of the grain) off
+  /// the top of shard `from` and install them as a fresh segment of shard
+  /// `to`. Serialized by migrating_ so a cut block can always be merged
+  /// back if `to` has no free segment.
   bool migrate(int from, int to, i64 want_block, i64 min_block, int tid);
 
   /// Install [begin, end) into a drained segment slot of shard `to`.
@@ -325,6 +334,7 @@ class ShardedWorkShare {
   ShardTopology topo_;
   int nshards_ = 1;
   int nthreads_ = 1;
+  i64 grain_ = 1;              ///< boundary/cut alignment (dynamic's chunk)
   bool config_single_ = true;  ///< topology has one shard: always delegate
   bool single_mode_ = true;    ///< set per reset(): 1 shard or oversized loop
   i64 count_ = 0;

@@ -13,7 +13,6 @@
 #include "rt/gomp_compat.h"
 #include "rt/runtime.h"
 #include "sched/scheduler_cache.h"
-#include "sched/shard_topology.h"
 
 namespace aid::rt::gomp {
 namespace {
@@ -323,35 +322,34 @@ TEST(GompCompatChain, SchedulerCacheReusesInstancesPerShape) {
   const auto platform = platform::generic_amp(2, 2, 2.0);
   const platform::TeamLayout layout(platform, 4,
                                     platform::Mapping::kBigFirst);
-  const auto topo = sched::ShardTopology::from_layout(layout);
   sched::SchedulerCache cache;
   const auto spec = sched::ScheduleSpec::dynamic(16);
 
-  sched::LoopScheduler* first = cache.acquire(spec, 1024, layout, topo);
+  sched::LoopScheduler* first = cache.acquire(spec, 1024, layout);
   EXPECT_EQ(cache.misses(), 1u);
   // Same shape while the instance is busy: a second live instance.
-  sched::LoopScheduler* second = cache.acquire(spec, 512, layout, topo);
+  sched::LoopScheduler* second = cache.acquire(spec, 512, layout);
   EXPECT_NE(first, second);
   EXPECT_EQ(cache.misses(), 2u);
   cache.release(first);
   cache.release(second);
 
   // Idle again: the same instance comes back, re-armed for the new count.
-  sched::LoopScheduler* reused = cache.acquire(spec, 2048, layout, topo);
+  sched::LoopScheduler* reused = cache.acquire(spec, 2048, layout);
   EXPECT_TRUE(reused == first || reused == second);
   EXPECT_EQ(cache.hits(), 1u);
   cache.release(reused);
 
   // A different shape is a different cache line-age: no reuse.
   sched::LoopScheduler* other =
-      cache.acquire(sched::ScheduleSpec::guided(4), 1024, layout, topo);
+      cache.acquire(sched::ScheduleSpec::guided(4), 1024, layout);
   EXPECT_NE(other, first);
   EXPECT_NE(other, second);
   cache.release(other);
 
   // Invalidation (a pool repartition) dooms cached instances.
   cache.invalidate();
-  sched::LoopScheduler* fresh = cache.acquire(spec, 1024, layout, topo);
+  sched::LoopScheduler* fresh = cache.acquire(spec, 1024, layout);
   EXPECT_EQ(cache.hits(), 1u) << "post-invalidate acquire must not hit";
   cache.release(fresh);
 
@@ -359,11 +357,11 @@ TEST(GompCompatChain, SchedulerCacheReusesInstancesPerShape) {
   // chain ring entries): the busy instance bakes in the dead layout, so
   // its release must destroy it — a later same-shape acquire is a miss,
   // never a repool of the doomed instance.
-  sched::LoopScheduler* doomed = cache.acquire(spec, 1024, layout, topo);
+  sched::LoopScheduler* doomed = cache.acquire(spec, 1024, layout);
   cache.invalidate();
   cache.release(doomed);
   const u64 hits_after_doom = cache.hits();
-  sched::LoopScheduler* rebuilt = cache.acquire(spec, 1024, layout, topo);
+  sched::LoopScheduler* rebuilt = cache.acquire(spec, 1024, layout);
   EXPECT_EQ(cache.hits(), hits_after_doom)
       << "a doomed lease was repooled across invalidate()";
   cache.release(rebuilt);

@@ -54,11 +54,13 @@ INSTANTIATE_TEST_SUITE_P(
       return all_workloads()[static_cast<usize>(param_info.param)].name();
     });
 
-// The DataPar kernels also sweep the shard dimension: a Team arms one pool
-// shard per populated core type (ShardTopology::from_layout), so a
-// symmetric team exercises the single-shard pool and a 2-type AMP the
-// two-shard one. The whole-suite × pool-mode coverage comes from the CI
-// legs running this binary plainly and under AID_POOL=1.
+// The DataPar kernels also sweep the shard dimension, which a Team picks
+// by schedule kind (ShardTopology::for_schedule): dynamic and aid-static
+// arm one shard per thread on both teams, while aid-dynamic arms one per
+// populated core type — the single-shard pool on the symmetric team and
+// the two-shard one on the 2-type AMP. The whole-suite × pool-mode
+// coverage comes from the CI legs running this binary plainly and under
+// AID_POOL=1.
 TEST(DataParShardInvariance, SameChecksumUnderShardSettings) {
   constexpr double kScale = 0.02;
   rt::Team serial(platform::generic_amp(1, 1, 2.0), 1,
@@ -75,7 +77,7 @@ TEST(DataParShardInvariance, SameChecksumUnderShardSettings) {
         serial, sched::ScheduleSpec::static_even(), kScale);
     ASSERT_TRUE(std::isfinite(reference)) << workload->name();
     const double tol = 1e-6 * std::max(1.0, std::fabs(reference));
-    // One shard (uniform layout) and two shards (big + small).
+    // Uniform and big + small layouts.
     for (const auto& plat :
          {platform::symmetric(4), platform::generic_amp(2, 2, 2.0)}) {
       rt::Team team(plat, 4, platform::Mapping::kBigFirst,

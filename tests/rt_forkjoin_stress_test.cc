@@ -6,10 +6,10 @@
 //    exactly once, for every scheduler, across repeated dispatches on the
 //    same persistent worker team (generation-counter reuse, barrier reuse);
 //  * pool_removals counts only *successful* takes — for plain dynamic the
-//    count is exactly ceil(NI / chunk) on a single-shard pool (a
-//    symmetric team); under the per-core-type sharded pool each shard
-//    seam (and each bulk-migrated block) can add at most one extra
-//    clamped removal, and the count can never exceed NI (each success
+//    count is exactly ceil(NI / chunk) on every topology: the pool's grain
+//    is the chunk, so shard seams and bulk-migrated blocks never clamp a
+//    take short, and only the chunk holding the last iteration may be
+//    smaller. For every pool the count can never exceed NI (each success
 //    hands out >= 1 iteration), no matter how often drained probes hammer
 //    the endgame.
 #include <gtest/gtest.h>
@@ -41,6 +41,7 @@ std::vector<SpecCase> stress_specs() {
       {ScheduleSpec::trapezoid()},
       {ScheduleSpec::weighted_factoring()},
       {ScheduleSpec::aid_static(2)},
+      {ScheduleSpec::aid_static_offline(3.0)},
       {ScheduleSpec::aid_hybrid(2, 70.0)},
       {ScheduleSpec::aid_dynamic(1, 5)},
       {ScheduleSpec::aid_dynamic_no_endgame(2, 6)},
@@ -71,30 +72,45 @@ TEST(ForkJoinStress, BackToBackLoopsCoverExactlyOnce) {
   }
 }
 
-TEST(ForkJoinStress, DynamicRemovalCountIsExactWithSingleShard) {
-  // With removals counted only on success, dynamic(c) on a single-shard
-  // pool (one core type: a symmetric team) performs exactly ceil(NI / c)
-  // removals — drained-pool probes by late workers add zero.
-  Team team(platform::symmetric(8), 8, Mapping::kBigFirst,
-            /*emulate_amp=*/false);
-  for (const i64 chunk : {i64{1}, i64{4}, i64{13}}) {
-    for (const i64 count : {i64{1}, i64{13}, i64{500}, i64{5000}}) {
-      for (int l = 0; l < 10; ++l) {
-        team.run_loop(count, ScheduleSpec::dynamic(chunk),
-                      [](i64, i64, const WorkerInfo&) {});
-        EXPECT_EQ(team.last_loop_stats().pool_removals,
-                  (count + chunk - 1) / chunk)
-            << "chunk=" << chunk << " count=" << count;
+TEST(ForkJoinStress, DynamicRemovalCountIsExactOnEveryTopology) {
+  // dynamic(c) hands out whole chunks of c iterations except the one
+  // holding the loop's last iteration (OpenMP), so with removals counted
+  // only on success it performs exactly ceil(NI / c) — on a symmetric
+  // team and on an AMP alike (8 per-thread shards each): drained-pool
+  // probes by late workers add zero, and shard seams and migrated blocks
+  // never split a chunk.
+  for (const auto& plat :
+       {platform::symmetric(8), platform::generic_amp(4, 4, 3.0)}) {
+    Team team(plat, 8, Mapping::kBigFirst, /*emulate_amp=*/false);
+    for (const i64 chunk : {i64{1}, i64{4}, i64{13}}) {
+      for (const i64 count : {i64{1}, i64{13}, i64{100}, i64{500},
+                              i64{1000}, i64{5000}}) {
+        for (int l = 0; l < 10; ++l) {
+          std::atomic<i64> short_chunks{0};
+          std::atomic<i64> bad_begin{-1};
+          team.run_loop(count, ScheduleSpec::dynamic(chunk),
+                        [&](i64 b, i64 e, const WorkerInfo&) {
+                          if (e - b != chunk && e != count) {
+                            short_chunks.fetch_add(1);
+                            bad_begin.store(b);
+                          }
+                        });
+          EXPECT_EQ(short_chunks.load(), 0)
+              << plat.name() << " chunk=" << chunk << " count=" << count
+              << ": a mid-loop chunk starting at " << bad_begin.load()
+              << " was not " << chunk << " iterations";
+          EXPECT_EQ(team.last_loop_stats().pool_removals,
+                    (count + chunk - 1) / chunk)
+              << plat.name() << " chunk=" << chunk << " count=" << count;
+        }
       }
     }
   }
 }
 
 TEST(ForkJoinStress, DynamicRemovalCountIsTightUnderSharding) {
-  // The per-core-type sharded pool keeps the count near-exact: every shard
-  // seam and every bulk-migrated block can clamp at most one take short,
-  // so removals <= ceil(NI / c) + (shards - 1) + rebalances. All removals
-  // are accounted as either home-local or steals.
+  // The sharded pool's accounting: the count is exact, and every removal
+  // is either home-local or a steal.
   Team team(platform::generic_amp(4, 4, 3.0), 8, Mapping::kBigFirst,
             /*emulate_amp=*/false);
   for (const i64 chunk : {i64{1}, i64{4}, i64{13}}) {
@@ -103,10 +119,7 @@ TEST(ForkJoinStress, DynamicRemovalCountIsTightUnderSharding) {
         team.run_loop(count, ScheduleSpec::dynamic(chunk),
                       [](i64, i64, const WorkerInfo&) {});
         const auto st = team.last_loop_stats();
-        const i64 exact = (count + chunk - 1) / chunk;
-        EXPECT_GE(st.pool_removals, exact)
-            << "chunk=" << chunk << " count=" << count;
-        EXPECT_LE(st.pool_removals, exact + 1 + st.shard_rebalances)
+        EXPECT_EQ(st.pool_removals, (count + chunk - 1) / chunk)
             << "chunk=" << chunk << " count=" << count;
         EXPECT_EQ(st.local_removals + st.steal_removals, st.pool_removals)
             << "chunk=" << chunk << " count=" << count;

@@ -154,14 +154,15 @@ TEST(ScheduleProperty, LabelsAreUniqueAndParsable) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedWorkShare properties: the per-core-type pool must deliver every
+// ShardedWorkShare properties: the sharded pool must deliver every
 // iteration exactly once no matter how takes, adaptive takes, endgame
 // steals and bulk migrations interleave (src/sched/README.md documents the
 // migration protocol these tests hammer).
 
 ShardTopology two_shard_topo(int nthreads) {
   // Low tids -> shard 1 (the "big" cluster under the BS mapping), high
-  // tids -> shard 0, mirroring ShardTopology::from_layout on a 2-type AMP.
+  // tids -> shard 0, mirroring ShardTopology::per_core_type on a 2-type
+  // AMP.
   ShardTopology topo;
   topo.home_of_tid.resize(static_cast<usize>(nthreads));
   topo.capacity.assign(2, 0.0);
@@ -255,14 +256,140 @@ TEST(ShardedWorkShare, OversizedLoopFallsBackToSinglePool) {
   EXPECT_EQ(pool.nshards(), 2);
 }
 
-// The randomized concurrent harness: real threads mix take / take_adaptive
-// with endgame steals, across skewed splits and shard counts, so the steal
-// path's bulk migrations race the takes. Every iteration must be
-// delivered exactly once.
+// ShardTopology::for_schedule is the one place the runtime picks a pool's
+// shard layout: per thread for the fixed-chunk kinds, per core type for
+// the rest, and nothing to shard for static or a one-thread team.
+TEST(ShardTopology, ForSchedulePicksTheLayoutByKind) {
+  const platform::Platform sym = platform::symmetric(4);
+  const platform::Platform amp = platform::generic_amp(2, 2, 2.0);
+  const platform::TeamLayout layouts[] = {
+      {sym, 4, platform::Mapping::kBigFirst},
+      {amp, 4, platform::Mapping::kBigFirst},
+      {amp, 1, platform::Mapping::kBigFirst},
+  };
+  const ScheduleKind per_thread[] = {ScheduleKind::kDynamic,
+                                     ScheduleKind::kAidStatic,
+                                     ScheduleKind::kAidHybrid};
+  const ScheduleKind per_core_type[] = {
+      ScheduleKind::kAidDynamic, ScheduleKind::kGuided,
+      ScheduleKind::kTrapezoid, ScheduleKind::kWeightedFactoring};
+  for (const platform::TeamLayout& layout : layouts) {
+    const int n = layout.nthreads();
+    SCOPED_TRACE(layout.describe());
+    EXPECT_EQ(ShardTopology::for_schedule(ScheduleKind::kStatic, layout)
+                  .nshards(),
+              1);
+    for (const ScheduleKind kind : per_thread) {
+      const ShardTopology topo = ShardTopology::for_schedule(kind, layout);
+      if (n == 1) {
+        EXPECT_TRUE(topo.home_of_tid.empty()) << to_string(kind);
+        EXPECT_EQ(topo.nshards(), 1) << to_string(kind);
+        continue;
+      }
+      ASSERT_EQ(topo.nshards(), n) << to_string(kind);
+      for (int tid = 0; tid < n; ++tid) {
+        EXPECT_EQ(topo.home_of_tid[static_cast<usize>(tid)], tid);
+        EXPECT_DOUBLE_EQ(topo.capacity[static_cast<usize>(tid)],
+                         layout.speed_of(tid));
+      }
+    }
+    for (const ScheduleKind kind : per_core_type) {
+      const ShardTopology topo = ShardTopology::for_schedule(kind, layout);
+      if (layout.is_uniform()) {
+        // One populated core type: the classic single pool.
+        EXPECT_TRUE(topo.home_of_tid.empty()) << to_string(kind);
+        continue;
+      }
+      ASSERT_EQ(topo.nshards(), 2) << to_string(kind);
+      std::vector<double> capacity(2, 0.0);
+      for (int tid = 0; tid < n; ++tid) {
+        const int home = topo.home_of_tid[static_cast<usize>(tid)];
+        capacity[static_cast<usize>(home)] += layout.speed_of(tid);
+        // Same core type <=> same shard.
+        EXPECT_EQ(home == topo.home_of_tid[0],
+                  layout.core_type_of(tid) == layout.core_type_of(0));
+      }
+      EXPECT_EQ(capacity, topo.capacity) << to_string(kind);
+    }
+  }
+}
+
+// The randomized concurrent harness: real threads drain one pool (their
+// `take` mixes plain and adaptive removals) until every take comes back
+// empty, so the steal path's bulk migrations race the takes. Returns each
+// thread's ranges after checking that every iteration was delivered
+// exactly once and that every range was one accounted removal.
+template <typename TakeFn>
+std::vector<std::vector<IterRange>> drain_exactly_once(ShardedWorkShare& pool,
+                                                       int nthreads,
+                                                       i64 count, u64 seed,
+                                                       TakeFn take) {
+  std::vector<std::vector<IterRange>> taken(static_cast<usize>(nthreads));
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<usize>(nthreads));
+  std::mt19937_64 seeds(seed);
+  for (int t = 0; t < nthreads; ++t) {
+    threads.emplace_back([&, t, thread_seed = seeds()] {
+      std::mt19937_64 local(thread_seed);
+      auto& log = taken[static_cast<usize>(t)];
+      for (;;) {
+        const IterRange r = take(t, local);
+        if (r.empty()) return;  // every shard looked drained
+        log.push_back(r);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::vector<u8> seen(static_cast<usize>(count), 0);
+  i64 successes = 0;
+  for (const auto& log : taken) {
+    successes += static_cast<i64>(log.size());
+    for (const auto& r : log) {
+      EXPECT_FALSE(r.empty());
+      if (r.begin < 0 || r.end > count) {
+        ADD_FAILURE() << "[" << r.begin << ", " << r.end << ") out of bounds";
+        continue;
+      }
+      for (i64 i = r.begin; i < r.end; ++i) {
+        EXPECT_EQ(seen[static_cast<usize>(i)], 0)
+            << "iteration " << i << " delivered twice";
+        seen[static_cast<usize>(i)] = 1;
+      }
+    }
+  }
+  for (i64 i = 0; i < count; ++i)
+    EXPECT_EQ(seen[static_cast<usize>(i)], 1)
+        << "iteration " << i << " never delivered";
+  for (int t = 0; t < nthreads; ++t)
+    EXPECT_EQ(pool.removals_of(t),
+              static_cast<i64>(taken[static_cast<usize>(t)].size()))
+        << "tid " << t;
+  EXPECT_EQ(pool.removals(), successes);
+  EXPECT_EQ(pool.local_removals() + pool.remote_removals(), successes);
+  return taken;
+}
+
+IterRange random_take(ShardedWorkShare& pool, int tid,
+                      std::mt19937_64& local) {
+  if (local() % 2 == 0)
+    return pool.take(1 + static_cast<i64>(local() % 8), tid);
+  return pool.take_adaptive(
+      [&local](i64 remaining) {
+        const i64 cap = 1 + static_cast<i64>(local() % 16);
+        const i64 want = remaining / 7 + 1;
+        return want < cap ? want : cap;
+      },
+      tid);
+}
+
 TEST(ShardedWorkShareStress, ExactlyOnceUnderSteals) {
+  // Per-core-type shapes: 2..3 shards shared by 2..8 threads, armed with
+  // random skewed splits.
   std::mt19937_64 rng(0xA1DC0FFEEULL);
   i64 migrations = 0;
   for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
     const int nthreads = 2 + static_cast<int>(rng() % 7);       // 2..8
     const i64 count = 1 + static_cast<i64>(rng() % 6000);       // 1..6000
     const int nshards = 2 + static_cast<int>(rng() % 2);        // 2..3
@@ -279,67 +406,69 @@ TEST(ShardedWorkShareStress, ExactlyOnceUnderSteals) {
     std::vector<double> split(static_cast<usize>(nshards));
     for (auto& w : split) w = 1.0 + static_cast<double>(rng() % 8);
     pool.reset(count, split);
-
-    std::vector<std::vector<IterRange>> taken(
-        static_cast<usize>(nthreads));
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<usize>(nthreads));
-    for (int t = 0; t < nthreads; ++t) {
-      const u64 seed = rng();
-      threads.emplace_back([&, t, seed] {
-        std::mt19937_64 local(seed);
-        auto& log = taken[static_cast<usize>(t)];
-        for (;;) {
-          IterRange r;
-          if (local() % 2 == 0) {
-            r = pool.take(1 + static_cast<i64>(local() % 8), t);
-          } else {
-            r = pool.take_adaptive(
-                [&local](i64 remaining) {
-                  const i64 cap = 1 + static_cast<i64>(local() % 16);
-                  const i64 want = remaining / 7 + 1;
-                  return want < cap ? want : cap;
-                },
-                t);
-          }
-          if (r.empty()) return;  // every shard looked drained
-          log.push_back(r);
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-
-    std::vector<u8> seen(static_cast<usize>(count), 0);
-    i64 successes = 0;
-    for (const auto& log : taken) {
-      successes += static_cast<i64>(log.size());
-      for (const auto& r : log) {
-        ASSERT_FALSE(r.empty());
-        ASSERT_GE(r.begin, 0);
-        ASSERT_LE(r.end, count);
-        for (i64 i = r.begin; i < r.end; ++i) {
-          ASSERT_EQ(seen[static_cast<usize>(i)], 0)
-              << "round " << round << ": iteration " << i
-              << " delivered twice";
-          seen[static_cast<usize>(i)] = 1;
-        }
-      }
-    }
-    for (i64 i = 0; i < count; ++i)
-      ASSERT_EQ(seen[static_cast<usize>(i)], 1)
-          << "round " << round << ": iteration " << i << " never delivered";
-    // Counter sanity: every logged range was one accounted removal, in
-    // the slot of the thread that received it.
-    for (int t = 0; t < nthreads; ++t)
-      EXPECT_EQ(pool.removals_of(t),
-                static_cast<i64>(taken[static_cast<usize>(t)].size()))
-          << "round " << round << ": tid " << t;
-    EXPECT_EQ(pool.removals(), successes);
-    EXPECT_EQ(pool.local_removals() + pool.remote_removals(), successes);
+    drain_exactly_once(pool, nthreads, count, rng(),
+                       [&pool](int t, std::mt19937_64& local) {
+                         return random_take(pool, t, local);
+                       });
     migrations += pool.rebalances();
   }
   // The skewed splits drain some home shards early: bulk migrations must
   // actually have raced the takes, or this harness checks only takes.
+  EXPECT_GT(migrations, 0);
+
+  // The runtime's dynamic/AID-static/AID-hybrid shape: one shard per
+  // thread, capacity = nominal speed, 8 threads on a 3x AMP. The low-
+  // capacity shards drain first and their threads must bulk-migrate.
+  const platform::TeamLayout layout(platform::generic_amp(4, 4, 3.0), 8,
+                                    platform::Mapping::kBigFirst);
+  const ShardTopology per_thread = ShardTopology::per_thread(layout);
+  migrations = 0;
+  for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE("per-thread round " + std::to_string(round));
+    const i64 count = 64 + static_cast<i64>(rng() % 6000);
+    ShardedWorkShare pool(per_thread, 8);
+    pool.reset(count);
+    drain_exactly_once(pool, 8, count, rng(),
+                       [&pool](int t, std::mt19937_64& local) {
+                         return random_take(pool, t, local);
+                       });
+    migrations += pool.rebalances();
+  }
+  EXPECT_GT(migrations, 0);
+}
+
+TEST(ShardedWorkShareStress, GrainKeepsChunksWholeUnderSteals) {
+  // dynamic(4)'s pool: shard boundaries and migration cuts sit on
+  // multiples of the grain, so every 4-iteration take comes out whole
+  // except the one holding the loop's last iteration — including takes
+  // from migrated blocks and chunk steals.
+  constexpr i64 kGrain = 4;
+  const platform::TeamLayout layout(platform::generic_amp(4, 4, 3.0), 8,
+                                    platform::Mapping::kBigFirst);
+  const ShardTopology topo = ShardTopology::per_thread(layout);
+  std::mt19937_64 rng(0x6A1A1ULL);
+  i64 migrations = 0;
+  for (int round = 0; round < 10; ++round) {
+    const i64 count = 64 + static_cast<i64>(rng() % 6000);
+    SCOPED_TRACE("count " + std::to_string(count));
+    ShardedWorkShare pool(topo, 8, kGrain);
+    pool.reset(count);
+    const auto taken = drain_exactly_once(
+        pool, 8, count, rng(),
+        [&pool](int t, std::mt19937_64&) { return pool.take(kGrain, t); });
+    i64 removals = 0;
+    for (const auto& log : taken) {
+      removals += static_cast<i64>(log.size());
+      for (const IterRange& r : log) {
+        EXPECT_EQ(r.begin % kGrain, 0) << "[" << r.begin << ", " << r.end;
+        if (r.end != count) {
+          EXPECT_EQ(r.size(), kGrain) << "[" << r.begin << ", " << r.end;
+        }
+      }
+    }
+    EXPECT_EQ(removals, (count + kGrain - 1) / kGrain);
+    migrations += pool.rebalances();
+  }
   EXPECT_GT(migrations, 0);
 }
 
