@@ -1,6 +1,7 @@
 #include "sched/aid_dynamic_sched.h"
 
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 
@@ -29,7 +30,6 @@ AidDynamicScheduler::AidDynamicScheduler(i64 count,
   for (int tid = 0; tid < layout.nthreads(); ++tid)
     nominal_speed_[static_cast<usize>(layout.core_type_of(tid))] =
         layout.speed_of(tid);
-  ratio_.assign(static_cast<usize>(layout.num_core_types()), 1.0);
   reset(count);
 }
 
@@ -39,7 +39,7 @@ void AidDynamicScheduler::reset(i64 count) {
   pool_.reset(count);
   estimator_.reset(nthreads_);
   for (auto& pt : per_thread_) *pt = PerThread{};
-  for (auto& r : ratio_) r = 1.0;
+  ratio_.fill(1.0);
   reported_sf_ = 0.0;
   phases_completed_.store(0, std::memory_order_relaxed);
   epoch_.store(0, std::memory_order_relaxed);
@@ -49,17 +49,23 @@ void AidDynamicScheduler::reset(i64 count) {
 void AidDynamicScheduler::close_phase() {
   // Exactly one thread executes this per phase (the one whose record() call
   // returned true). All other threads are stealing m-chunks and cannot touch
-  // the estimator until the next epoch is visible.
-  estimator_.speedup_factors(ratio_, ratio_);
-  for (usize t = ratio_.size(); t-- > 0;) {
+  // the estimator until the next epoch is visible. The closer has seen the
+  // current epoch (it recorded for this phase), and nobody else writes it:
+  // plain stores suffice for the epoch and the phase count.
+  const std::span<double> ratio(ratio_.data(), threads_per_type_.size());
+  estimator_.speedup_factors(ratio, ratio);
+  for (usize t = ratio.size(); t-- > 0;) {
     if (threads_per_type_[t] > 0) {
-      if (reported_sf_ == 0.0) reported_sf_ = ratio_[t];  // initial SF
+      if (reported_sf_ == 0.0) reported_sf_ = ratio[t];  // initial SF
       break;
     }
   }
-  phases_completed_.fetch_add(1, std::memory_order_relaxed);
-  estimator_.reset(nthreads_);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
+  phases_completed_.store(
+      phases_completed_.load(std::memory_order_relaxed) + 1,
+      std::memory_order_relaxed);
+  estimator_.next_phase();
+  epoch_.store(epoch_.load(std::memory_order_relaxed) + 1,
+               std::memory_order_release);
 }
 
 bool AidDynamicScheduler::steal_minor(PerThread& pt, const ThreadContext& tc,
@@ -76,7 +82,7 @@ bool AidDynamicScheduler::enter_phase(ThreadContext& tc, PerThread& pt,
   // Fig. 5 caption optimization: with only M·(NB+NS) iterations left, a full
   // AID allotment could strand the tail on one thread; finish with
   // dynamic(m) instead.
-  if (should_endgame()) {
+  if (should_endgame(tc.tid)) {
     endgame_.store(true, std::memory_order_release);
     pt.state = State::kWait;
     return steal_minor(pt, tc, out, /*count_delta=*/false);
@@ -183,7 +189,8 @@ SchedulerStats AidDynamicScheduler::stats() const {
 }
 
 std::vector<double> AidDynamicScheduler::progress_ratios() const {
-  return ratio_;
+  const auto ntypes = static_cast<std::ptrdiff_t>(threads_per_type_.size());
+  return {ratio_.begin(), ratio_.begin() + ntypes};
 }
 
 }  // namespace aid::sched

@@ -21,12 +21,21 @@
 // simply ends the loop for whichever thread observes it — so the scheduler
 // cannot deadlock even when a phase never completes.
 //
-// R shapes the allotments only. The per-core-type sharded pool is not
-// re-weighted by it at phase boundaries: a cluster whose shard drains
-// early bulk-steals from the other (sharded_work_share.h), and feeding R
-// into the shards a second time measured slower (src/sched/README.md).
+// R shapes the allotments only. The sharded pool (one shard per thread on a
+// uniform team, one per core type on an AMP: ShardTopology::for_schedule) is
+// not re-weighted by it at phase boundaries: a shard that drains early
+// bulk-steals from the others (sharded_work_share.h), and feeding R into
+// the shards a second time measured slower (src/sched/README.md).
+//
+// A phase is as short as N·M iterations, so its bookkeeping stays on two
+// shared lines: each thread's record() is one RMW on the estimator's record
+// line (sf_estimator.h), and the closer publishes R on the epoch line, which
+// every waiting thread polls anyway. The endgame test reads the caller's
+// home shard first and scans the whole pool only when that shard alone no
+// longer exceeds M·N.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <vector>
 
@@ -81,8 +90,8 @@ class AidDynamicScheduler final : public LoopScheduler {
     i64 epoch_seen = 0;  ///< last phase epoch this thread joined
   };
 
-  /// Last thread of a phase: recompute R from the estimator, re-arm the
-  /// estimator and publish the next epoch.
+  /// Last thread of a phase: recompute R from the estimator, start the
+  /// estimator's next phase and publish the next epoch.
   void close_phase();
 
   /// Try to enter the current phase: take the uneven allotment (or record a
@@ -93,8 +102,14 @@ class AidDynamicScheduler final : public LoopScheduler {
   bool steal_minor(PerThread& pt, const ThreadContext& tc, IterRange& out,
                    bool count_delta);
 
-  [[nodiscard]] bool should_endgame() const {
-    return endgame_enabled_ && pool_.remaining() <= major_chunk_ * nthreads_;
+  /// remaining() <= M·N. The caller's home shard holds a lower bound on
+  /// the pool's remainder, so while it alone exceeds M·N the answer is no
+  /// without loading every other shard's segment lines.
+  [[nodiscard]] bool should_endgame(int tid) const {
+    if (!endgame_enabled_) return false;
+    const i64 threshold = major_chunk_ * nthreads_;
+    if (pool_.remaining_of_shard(pool_.home_of(tid)) > threshold) return false;
+    return pool_.remaining() <= threshold;
   }
 
   ShardedWorkShare pool_;
@@ -102,9 +117,8 @@ class AidDynamicScheduler final : public LoopScheduler {
 
   // Read by every next(); written at most once per construct (endgame_ by
   // the threads that detect the endgame, reported_sf_ by the first
-  // close_phase()). ratio_'s elements are rewritten in place per phase.
+  // close_phase()).
   std::atomic<bool> endgame_{false};
-  std::vector<double> ratio_;  // R_t per core type
   double reported_sf_ = 0.0;
 
   i64 count_;
@@ -116,9 +130,12 @@ class AidDynamicScheduler final : public LoopScheduler {
   std::vector<double> nominal_speed_;
   std::vector<Padded<PerThread>> per_thread_;
 
-  // Written once per phase by its closing thread: alone on their line.
-  // close_phase() publishes ratio_ before the epoch release-increment.
+  // Written once per phase by its closing thread, polled by the waiting
+  // ones: R_t per core type shares the epoch's line (for up to 7 types),
+  // so the miss on a new epoch also brings R. close_phase() writes ratio_
+  // before the epoch's release store.
   alignas(kCacheLineBytes) std::atomic<i64> epoch_{0};  // 0 = sampling
+  std::array<double, kMaxCoreTypes> ratio_{};
   std::atomic<i64> phases_completed_{0};
 };
 

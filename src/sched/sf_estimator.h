@@ -13,9 +13,28 @@
 //    and compare per-type progress *rates* (iters/time). For the initial
 //    sampling phase, where every thread runs exactly `chunk` iterations,
 //    the rate ratio reduces exactly to the paper's average-time ratio.
+//
+// AID-dynamic records once per thread per phase, and a phase can be as
+// short as N·M iterations, so the estimator is laid out for that:
+//  * One record line. The completion count and the per-type (time,
+//    iterations) sums share one cache-line-aligned block (one line for up
+//    to 3 core types), so a record() moves one line, not one per type plus
+//    one for the count.
+//  * Monotone sums. Within a construct the count and the sums only grow.
+//    The phase closer calls next_phase(), which copies them into
+//    closer-private bases; rate() and speedup_factors() read the growth
+//    since that copy, and record() signals the closer when the count
+//    reaches a multiple of `expected`. reset() zeroes everything, once per
+//    construct. The sums at a close are exactly that phase's: each thread
+//    records once per phase, and records for phase p+1 only after it
+//    acquired the epoch the closer of phase p releases after its copy.
+// Owner-written per-thread slots, summed by the closer, measured slower
+// than this shared line on sym-loops (src/sched/README.md).
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -25,71 +44,85 @@ namespace aid::sched {
 inline constexpr int kMaxCoreTypes = 8;
 
 /// Lock-free per-core-type (time, iteration) accumulator plus a completion
-/// counter. One instance per sampling phase (reset between AID-dynamic
-/// phases by the single thread that closes the phase).
+/// counter, armed once per construct and advanced phase by phase.
 class SfEstimator {
  public:
   explicit SfEstimator(int num_core_types);
 
-  /// Re-arm for a new phase expecting `expected_threads` contributions.
-  /// Must not race with record() — callers guarantee phase separation.
+  /// Re-arm for a new construct expecting `expected_threads` contributions
+  /// per phase. Must not race with record() — callers guarantee it.
   void reset(int expected_threads);
+
+  /// Start the next phase: later rate() and speedup_factors() calls see
+  /// only the samples recorded after this call. Called by the thread whose
+  /// record() returned true, before it lets any thread record again.
+  void next_phase();
 
   /// Record one thread's completed sample. `iterations` may be zero (thread
   /// found the pool empty); such samples count toward completion but do not
   /// pollute the rate estimate. Returns true iff this call was the last
-  /// expected contribution — the caller then owns finalization (the paper's
-  /// "last thread computes SF and k").
+  /// expected contribution of its phase — the caller then owns finalization
+  /// (the paper's "last thread computes SF and k").
   bool record(int core_type, Nanos elapsed, i64 iterations);
 
-  /// True once all expected threads recorded (acquire-loads the counter).
+  /// True once all expected threads recorded for the current phase
+  /// (acquire-loads the counter).
   [[nodiscard]] bool complete() const;
 
-  /// Progress rate (iterations per nanosecond) of a core type; 0 when the
-  /// type has no valid samples. Only meaningful after complete().
+  /// Progress rate (iterations per nanosecond) of a core type in the
+  /// current phase; 0 when the type has no valid samples. Only meaningful
+  /// after complete().
   [[nodiscard]] double rate(int core_type) const;
 
   /// SF_j: rate(j) / rate(slowest populated type with valid samples).
   /// Falls back to `fallback_speed[j]` (nominal platform speeds) for types
   /// without valid samples. Result is clamped to >= kMinSf. Writes into
-  /// `out`, which must already hold num_core_types() entries (no
-  /// allocation: the phase-closing thread calls this) and may alias
-  /// `fallback_speed`.
-  void speedup_factors(const std::vector<double>& fallback_speed,
-                       std::vector<double>& out) const;
+  /// `out`, which must hold num_core_types() entries (no allocation: the
+  /// phase-closing thread calls this) and may alias `fallback_speed`.
+  void speedup_factors(std::span<const double> fallback_speed,
+                       std::span<double> out) const;
   /// The same, into a fresh vector.
   [[nodiscard]] std::vector<double> speedup_factors(
-      const std::vector<double>& fallback_speed) const {
-    std::vector<double> sf(types_.size());
+      std::span<const double> fallback_speed) const {
+    std::vector<double> sf(static_cast<usize>(ntypes_));
     speedup_factors(fallback_speed, sf);
     return sf;
   }
 
-  [[nodiscard]] int num_core_types() const {
-    return static_cast<int>(types_.size());
-  }
+  [[nodiscard]] int num_core_types() const { return ntypes_; }
 
   /// Lower clamp for estimated SF values; guards against degenerate samples
   /// (e.g. timer granularity) producing SF < a small positive value.
   static constexpr double kMinSf = 1e-3;
 
  private:
-  struct alignas(kCacheLineBytes) TypeAccum {
-    std::atomic<i64> time_sum{0};
-    std::atomic<i64> iter_sum{0};
+  struct Sums {
+    std::atomic<i64> time{0};
+    std::atomic<i64> iters{0};
+  };
+  struct Base {
+    i64 time = 0;
+    i64 iters = 0;
   };
 
-  std::vector<TypeAccum> types_;
-  /// RMWed by every thread once per phase: alone on its line (with the
-  /// expected_ it is compared against), so the words an enclosing
-  /// scheduler reads on every next() never share it.
-  alignas(kCacheLineBytes) std::atomic<int> completed_{0};
-  /// Atomic (relaxed): a phase-closing reset() may overlap the tail of a
-  /// straggler's record() — after its completed_ increment, before its
-  /// expected_ comparison. The value written is the same team size, so
-  /// the comparison is unaffected; atomicity only removes the formal
-  /// data race (caught by the CI tsan leg).
-  std::atomic<int> expected_{0};
+  /// RMWed by every thread once per phase. `expected` sits on the same
+  /// line, so the comparison after the count's RMW costs no second miss;
+  /// only reset() writes it.
+  struct alignas(kCacheLineBytes) RecordLine {
+    std::atomic<i64> completed{0};
+    i64 expected = 1;  // never 0: record() divides by it
+    std::array<Sums, kMaxCoreTypes> sums;
+  };
+  static_assert(2 * sizeof(i64) + 3 * sizeof(Sums) <= kCacheLineBytes,
+                "three core types must fit the record line");
+
+  RecordLine line_;
+  /// The count and sums at the last next_phase(): written and read by
+  /// phase closers only, each ordered after the previous one by the same
+  /// hand-off that keeps phases apart.
+  std::array<Base, kMaxCoreTypes> base_{};
+  i64 base_completed_ = 0;
+  int ntypes_;
 };
 
 /// k in the paper's notation: the per-small-core-thread allotment such that

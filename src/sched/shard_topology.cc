@@ -55,13 +55,16 @@ ShardTopology ShardTopology::for_schedule(ScheduleKind kind,
       // shard already holds it.
       return per_thread(layout);
     case ScheduleKind::kAidDynamic:
+      // Per thread where the per-core-type layout would collapse to one
+      // shared cursor; per core type on an AMP, where per-thread shards
+      // measured slower on serve-mix (src/sched/README.md).
+      return layout.is_uniform() ? per_thread(layout) : per_core_type(layout);
     case ScheduleKind::kGuided:
     case ScheduleKind::kTrapezoid:
     case ScheduleKind::kWeightedFactoring:
-      // aid-dynamic measured slower on small loops with per-thread shards
-      // (src/sched/README.md); guided and factoring size each chunk by its
-      // segment's remainder, so per-thread shards would change their chunk
-      // sequence; trapezoid is not measured end to end.
+      // Guided and factoring size each chunk by its segment's remainder, so
+      // per-thread shards would change their chunk sequence; trapezoid is
+      // not measured end to end.
       return per_core_type(layout);
   }
   AID_CHECK(false);

@@ -3,13 +3,14 @@
 // A ShardTopology maps every team thread to a *home shard* — the pool
 // partition whose hot segment word only that shard's members write on the
 // fast path (see sched/sharded_work_share.h and src/sched/README.md). Two
-// layouts exist, and the schedule kind picks one (for_schedule):
+// layouts exist, and the schedule kind picks one (for_schedule); for
+// AID-dynamic, so does whether the layout is uniform:
 //
 //  * per thread — one shard per team thread, capacity = its nominal speed.
 //    A fixed-chunk take is then an RMW on a word no other thread writes
 //    until a thief bulk-migrates from it: the nonmonotonic `dynamic`
 //    OpenMP 5.0 allows (LLVM libomp's static_steal), carried over to the
-//    AID-static/-hybrid allotments.
+//    AID-static/-hybrid allotments and to AID-dynamic's on uniform teams.
 //  * per core type — one shard per populated core type, so the
 //    self-scheduling traffic of each cluster stays cluster-local (the
 //    Catalán et al. / Krishna & Balachandran partitioning argument,
@@ -55,8 +56,9 @@ struct ShardTopology {
 
   /// The topology a runtime-built scheduler of `kind` arms on `layout` —
   /// the one place that choice is made. Per thread for `dynamic`,
-  /// `aid-static` and `aid-hybrid`; per core type for the rest (static
-  /// has no pool, so it gets the empty topology).
+  /// `aid-static` and `aid-hybrid`, and for `aid-dynamic` on a uniform
+  /// layout; per core type for `aid-dynamic` on an AMP and for the rest
+  /// (static has no pool, so it gets the empty topology).
   [[nodiscard]] static ShardTopology for_schedule(
       ScheduleKind kind, const platform::TeamLayout& layout);
 };

@@ -55,12 +55,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The DataPar kernels also sweep the shard dimension, which a Team picks
-// by schedule kind (ShardTopology::for_schedule): dynamic and aid-static
-// arm one shard per thread on both teams, while aid-dynamic arms one per
-// populated core type — the single-shard pool on the symmetric team and
-// the two-shard one on the 2-type AMP. The whole-suite × pool-mode
-// coverage comes from the CI legs running this binary plainly and under
-// AID_POOL=1.
+// from the schedule kind and the layout (ShardTopology::for_schedule):
+// dynamic and aid-static arm one shard per thread on both teams;
+// aid-dynamic arms one per thread on the symmetric team and one per core
+// type on the 2-type AMP; guided arms the single-shard pool on the
+// symmetric team and the two-shard one on the AMP. The whole-suite ×
+// pool-mode coverage comes from the CI legs running this binary plainly
+// and under AID_POOL=1.
 TEST(DataParShardInvariance, SameChecksumUnderShardSettings) {
   constexpr double kScale = 0.02;
   rt::Team serial(platform::generic_amp(1, 1, 2.0), 1,
@@ -70,6 +71,7 @@ TEST(DataParShardInvariance, SameChecksumUnderShardSettings) {
       sched::ScheduleSpec::dynamic(1),
       sched::ScheduleSpec::aid_static(1),
       sched::ScheduleSpec::aid_dynamic(1, 5),
+      sched::ScheduleSpec::guided(1),
   };
   for (const auto* workload : workloads_of_suite("DataPar")) {
     ASSERT_TRUE(workload->has_kernel()) << workload->name();

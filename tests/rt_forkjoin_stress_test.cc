@@ -12,6 +12,17 @@
 //    smaller. For every pool the count can never exceed NI (each success
 //    hands out >= 1 iteration), no matter how often drained probes hammer
 //    the endgame.
+//
+// Pool topologies covered (ShardTopology::for_schedule picks them):
+//  * BackToBackLoopsCoverExactlyOnce binds 1, 2, 4 and 8 big-first threads
+//    on a 4+4 AMP. At 2 and 4 threads the team sits on the big cores only,
+//    so it is uniform: dynamic, aid-static, aid-hybrid and aid-dynamic run
+//    one shard per thread, and guided, trapezoid and weighted factoring the
+//    single pool. At 8 threads the team spans both core types: aid-dynamic
+//    and the remainder-sized kinds run one shard per core type, the rest
+//    one per thread. One thread always runs the single pool.
+//  * DynamicRemovalCountIsExactOnEveryTopology runs dynamic on 8 per-thread
+//    shards, on a symmetric platform and on the AMP.
 #include <gtest/gtest.h>
 
 #include <atomic>

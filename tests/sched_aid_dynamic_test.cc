@@ -3,6 +3,7 @@
 // optimization.
 #include <gtest/gtest.h>
 
+#include "common/time_source.h"
 #include "sched/aid_dynamic_sched.h"
 #include "test_util.h"
 
@@ -139,6 +140,88 @@ TEST(AidDynamic, ResetReplaysIdentically) {
   const auto r2 = simulator.run(*sched, 2000, *cost);
   EXPECT_EQ(r1.completion_ns, r2.completion_ns);
   EXPECT_EQ(r1.iterations, r2.iterations);
+}
+
+// An AidDynamicScheduler driven call by call on one shard per thread (the
+// topology the runtime arms on a uniform team): four threads on a
+// symmetric platform, m = 1, M = 5, so the endgame threshold M·N is 20.
+class HandDrivenAidDynamic {
+ public:
+  static constexpr int kThreads = 4;
+  static constexpr i64 kEndgameThreshold = 5 * kThreads;
+
+  explicit HandDrivenAidDynamic(i64 count)
+      : layout_(platform::symmetric(kThreads), kThreads,
+                platform::Mapping::kBigFirst),
+        sched_(count, layout_, /*minor_chunk=*/1, /*major_chunk=*/5,
+               /*endgame_enabled=*/true, ShardTopology::per_thread(layout_)) {}
+
+  /// One next() by `tid`; the range it was handed (empty: its loop ended).
+  IterRange next(int tid) {
+    ThreadContext tc{
+        .tid = tid, .core_type = 0, .speed = 1.0, .time = &clock_};
+    IterRange r;
+    if (!sched_.next(tc, r)) return {};
+    clock_.advance(100);
+    return r;
+  }
+
+  AidDynamicScheduler& sched() { return sched_; }
+
+ private:
+  ManualTimeSource clock_;
+  platform::TeamLayout layout_;
+  AidDynamicScheduler sched_;
+};
+
+// The endgame test reads the caller's home shard first. A drained home
+// shard is no reason to end: the decision is still the pool's total.
+TEST(AidDynamic, DrainedHomeShardWithFatForeignShardsStaysOutOfTheEndgame) {
+  HandDrivenAidDynamic h(400);  // home shard of each thread: 100 iterations
+  // Thread 0 samples, records, and steals m-chunks while the sampling
+  // phase is open, until its home shard [0, 100) is empty.
+  for (i64 taken = 0; taken < 100; ++taken) {
+    const IterRange r = h.next(0);
+    ASSERT_EQ(r.size(), 1);
+    ASSERT_LE(r.end, 100) << "taken from home";
+  }
+  // The others sample; thread 3's record closes the phase and enters the
+  // next one with its home shard full.
+  for (int tid = 1; tid < HandDrivenAidDynamic::kThreads; ++tid)
+    ASSERT_EQ(h.next(tid).size(), 1);
+  for (int tid = 1; tid < HandDrivenAidDynamic::kThreads; ++tid)
+    ASSERT_FALSE(h.next(tid).empty());
+  ASSERT_EQ(h.sched().stats().aid_phases, 1);
+  ASSERT_GT(h.sched().remaining(),
+            10 * HandDrivenAidDynamic::kEndgameThreshold);
+  // Thread 0 enters the phase on a drained home shard.
+  EXPECT_FALSE(h.next(0).empty());
+  EXPECT_FALSE(h.sched().in_endgame());
+}
+
+// Thread 3 closes the sampling phase and decides on the endgame in the same
+// next(), after three samples and three wait steals by the others and its
+// own sample: the pool then holds count - 7 iterations.
+bool endgame_at_first_phase(i64 count) {
+  HandDrivenAidDynamic h(count);
+  for (int tid = 0; tid < HandDrivenAidDynamic::kThreads; ++tid)
+    EXPECT_EQ(h.next(tid).size(), 1);
+  for (int tid = 0; tid < HandDrivenAidDynamic::kThreads - 1; ++tid)
+    EXPECT_EQ(h.next(tid).size(), 1);
+  EXPECT_EQ(h.sched().remaining(), count - 7);
+  EXPECT_FALSE(h.sched().in_endgame());
+  EXPECT_FALSE(h.next(HandDrivenAidDynamic::kThreads - 1).empty());
+  EXPECT_EQ(h.sched().stats().aid_phases, 1);
+  return h.sched().in_endgame();
+}
+
+TEST(AidDynamic, EndgameStartsAtMajorTimesThreadsRemaining) {
+  EXPECT_TRUE(endgame_at_first_phase(
+      HandDrivenAidDynamic::kEndgameThreshold + 7 - 3));  // 17 left
+  EXPECT_TRUE(endgame_at_first_phase(
+      HandDrivenAidDynamic::kEndgameThreshold + 7));  // exactly M·N left
+  EXPECT_FALSE(endgame_at_first_phase(
+      HandDrivenAidDynamic::kEndgameThreshold + 7 + 1));  // M·N + 1 left
 }
 
 }  // namespace

@@ -257,61 +257,86 @@ TEST(ShardedWorkShare, OversizedLoopFallsBackToSinglePool) {
 }
 
 // ShardTopology::for_schedule is the one place the runtime picks a pool's
-// shard layout: per thread for the fixed-chunk kinds, per core type for
-// the rest, and nothing to shard for static or a one-thread team.
+// shard layout: per thread for the fixed-chunk kinds, and for aid-dynamic
+// on a uniform team; per core type for aid-dynamic on an AMP and for the
+// remainder-sized kinds; nothing to shard for static or a one-thread team.
+void expect_per_thread(const ShardTopology& topo,
+                       const platform::TeamLayout& layout) {
+  const int n = layout.nthreads();
+  if (n == 1) {
+    EXPECT_TRUE(topo.home_of_tid.empty());
+    EXPECT_EQ(topo.nshards(), 1);
+    return;
+  }
+  ASSERT_EQ(topo.nshards(), n);
+  for (int tid = 0; tid < n; ++tid) {
+    EXPECT_EQ(topo.home_of_tid[static_cast<usize>(tid)], tid);
+    EXPECT_DOUBLE_EQ(topo.capacity[static_cast<usize>(tid)],
+                     layout.speed_of(tid));
+  }
+}
+
+void expect_per_core_type(const ShardTopology& topo,
+                          const platform::TeamLayout& layout) {
+  if (layout.is_uniform()) {
+    // One populated core type: the classic single pool.
+    EXPECT_TRUE(topo.home_of_tid.empty());
+    return;
+  }
+  ASSERT_EQ(topo.nshards(), 2);
+  std::vector<double> capacity(2, 0.0);
+  for (int tid = 0; tid < layout.nthreads(); ++tid) {
+    const int home = topo.home_of_tid[static_cast<usize>(tid)];
+    capacity[static_cast<usize>(home)] += layout.speed_of(tid);
+    // Same core type <=> same shard.
+    EXPECT_EQ(home == topo.home_of_tid[0],
+              layout.core_type_of(tid) == layout.core_type_of(0));
+  }
+  EXPECT_EQ(capacity, topo.capacity);
+}
+
 TEST(ShardTopology, ForSchedulePicksTheLayoutByKind) {
   const platform::Platform sym = platform::symmetric(4);
   const platform::Platform amp = platform::generic_amp(2, 2, 2.0);
   const platform::TeamLayout layouts[] = {
       {sym, 4, platform::Mapping::kBigFirst},
       {amp, 4, platform::Mapping::kBigFirst},
+      {amp, 2, platform::Mapping::kBigFirst},  // both on big cores: uniform
       {amp, 1, platform::Mapping::kBigFirst},
   };
   const ScheduleKind per_thread[] = {ScheduleKind::kDynamic,
                                      ScheduleKind::kAidStatic,
                                      ScheduleKind::kAidHybrid};
-  const ScheduleKind per_core_type[] = {
-      ScheduleKind::kAidDynamic, ScheduleKind::kGuided,
-      ScheduleKind::kTrapezoid, ScheduleKind::kWeightedFactoring};
+  const ScheduleKind per_core_type[] = {ScheduleKind::kGuided,
+                                        ScheduleKind::kTrapezoid,
+                                        ScheduleKind::kWeightedFactoring};
   for (const platform::TeamLayout& layout : layouts) {
-    const int n = layout.nthreads();
     SCOPED_TRACE(layout.describe());
     EXPECT_EQ(ShardTopology::for_schedule(ScheduleKind::kStatic, layout)
                   .nshards(),
               1);
     for (const ScheduleKind kind : per_thread) {
-      const ShardTopology topo = ShardTopology::for_schedule(kind, layout);
-      if (n == 1) {
-        EXPECT_TRUE(topo.home_of_tid.empty()) << to_string(kind);
-        EXPECT_EQ(topo.nshards(), 1) << to_string(kind);
-        continue;
-      }
-      ASSERT_EQ(topo.nshards(), n) << to_string(kind);
-      for (int tid = 0; tid < n; ++tid) {
-        EXPECT_EQ(topo.home_of_tid[static_cast<usize>(tid)], tid);
-        EXPECT_DOUBLE_EQ(topo.capacity[static_cast<usize>(tid)],
-                         layout.speed_of(tid));
-      }
+      SCOPED_TRACE(to_string(kind));
+      expect_per_thread(ShardTopology::for_schedule(kind, layout), layout);
     }
     for (const ScheduleKind kind : per_core_type) {
-      const ShardTopology topo = ShardTopology::for_schedule(kind, layout);
-      if (layout.is_uniform()) {
-        // One populated core type: the classic single pool.
-        EXPECT_TRUE(topo.home_of_tid.empty()) << to_string(kind);
-        continue;
-      }
-      ASSERT_EQ(topo.nshards(), 2) << to_string(kind);
-      std::vector<double> capacity(2, 0.0);
-      for (int tid = 0; tid < n; ++tid) {
-        const int home = topo.home_of_tid[static_cast<usize>(tid)];
-        capacity[static_cast<usize>(home)] += layout.speed_of(tid);
-        // Same core type <=> same shard.
-        EXPECT_EQ(home == topo.home_of_tid[0],
-                  layout.core_type_of(tid) == layout.core_type_of(0));
-      }
-      EXPECT_EQ(capacity, topo.capacity) << to_string(kind);
+      SCOPED_TRACE(to_string(kind));
+      expect_per_core_type(ShardTopology::for_schedule(kind, layout), layout);
+    }
+    // aid-dynamic: a uniform team would get one shared cursor per core
+    // type, so it gets one shard per thread; an AMP keeps one per type.
+    const ShardTopology aid_dynamic =
+        ShardTopology::for_schedule(ScheduleKind::kAidDynamic, layout);
+    if (layout.is_uniform()) {
+      expect_per_thread(aid_dynamic, layout);
+    } else {
+      expect_per_core_type(aid_dynamic, layout);
     }
   }
+  // The layouts above cover both sides of aid-dynamic's choice.
+  EXPECT_TRUE(layouts[0].is_uniform());
+  EXPECT_FALSE(layouts[1].is_uniform());
+  EXPECT_TRUE(layouts[2].is_uniform());
 }
 
 // The randomized concurrent harness: real threads drain one pool (their
