@@ -1,14 +1,13 @@
 // Ingress loopback overhead: the same jobs submitted (a) directly
-// through ServeNode::submit, (b) through the full socket wire path —
+// through ServeNode::submit and (b) through the full socket wire path —
 // encode, Unix socket, IngressServer event loop, completion hook,
-// decode — and (c) through the shared-memory ring data plane
-// (src/ingress/shm_ring.h), all on the SAME node in the SAME process.
-// The three legs are interleaved run by run so machine noise hits them
-// alike, and the overhead families are percentiles of the PER-RUN PAIRED
-// DIFFERENCES (wire_ns[i] - direct_ns[i]) — differencing each leg's
-// percentiles would subtract unrelated runs and can even invert the tail
-// order. BENCH_ingress_loopback.json records all series so bench_diff
-// tracks the trajectory.
+// decode — both on the SAME node in the SAME process. The two legs are
+// interleaved run by run so machine noise hits them alike, and the
+// overhead family is percentiles of the PER-RUN PAIRED DIFFERENCES
+// (socket_ns[i] - direct_ns[i]) — differencing each leg's percentiles
+// would subtract unrelated runs and can even invert the tail order.
+// BENCH_ingress_loopback.json records all series so bench_diff tracks
+// the trajectory.
 //
 //   AID_BENCH_RUNS  — round-trips per configuration (default 5; CI uses
 //                     more for stable tails)
@@ -83,7 +82,7 @@ int main() {
   const platform::Platform platform = platform::symmetric(
       std::max(2u, std::thread::hardware_concurrency()));
   bench::print_header(
-      "Ingress loopback overhead (socket vs shm ring vs direct submit)",
+      "Ingress loopback overhead (socket vs direct submit)",
       platform);
 
   serve::ServeNode::Config node_cfg;
@@ -99,14 +98,7 @@ int main() {
   auto socket_client = ingress::IngressClient::connect(
       icfg.socket_path, "bench-socket", &error);
   if (!socket_client) {
-    std::fprintf(stderr, "connect(socket): %s\n", error.c_str());
-    return 1;
-  }
-  auto shm_client = ingress::IngressClient::connect(
-      icfg.socket_path, "bench-shm", &error,
-      ingress::IngressClient::Transport::kShm);
-  if (!shm_client) {
-    std::fprintf(stderr, "connect(shm): %s\n", error.c_str());
+    std::fprintf(stderr, "connect: %s\n", error.c_str());
     return 1;
   }
 
@@ -125,9 +117,8 @@ int main() {
         "workload=EP/count=" + std::to_string(count);
     std::vector<double> direct_ns;
     std::vector<double> socket_ns;
-    std::vector<double> shm_ns;
 
-    // Interleave the three paths so machine noise hits all alike.
+    // Interleave the two paths so machine noise hits both alike.
     for (int r = -warmup; r < runs; ++r) {
       {
         // The direct leg does the same work a SUBMIT frame triggers —
@@ -144,7 +135,7 @@ int main() {
         serve::JobSpec spec;
         spec.count = kernel->count;
         spec.body = kernel->body;
-        // Same schedule on all legs — the delta must be the wire, not a
+        // Same schedule on both legs — the delta must be the wire, not a
         // static-vs-dynamic chunking difference.
         spec.sched = sched::ScheduleSpec::static_even();
         serve::JobTicket t = node.submit(std::move(spec));
@@ -161,36 +152,24 @@ int main() {
         if (!wire_trip(*socket_client, count, &ns)) return 1;
         if (r >= 0) socket_ns.push_back(ns);
       }
-      {
-        double ns = 0.0;
-        if (!wire_trip(*shm_client, count, &ns)) return 1;
-        if (r >= 0) shm_ns.push_back(ns);
-      }
     }
 
     const bench::SampleSummary direct = bench::summarize(direct_ns);
     const bench::SampleSummary socket = bench::summarize(socket_ns);
-    const bench::SampleSummary shm = bench::summarize(shm_ns);
     json.add(config, "direct_roundtrip_ns", direct);
     json.add(config, "socket_roundtrip_ns", socket);
-    json.add(config, "shm_roundtrip_ns", shm);
-    // The headline numbers: percentiles of the per-run paired difference
+    // The headline number: percentiles of the per-run paired difference
     // against the interleaved direct leg. (NOT the difference of each
     // leg's percentiles — the runs backing socket.p99 and direct.p99 are
     // unrelated, and subtracting them produced impossible tails like
     // p99 < p95 and negative medians in earlier snapshots.)
     const bench::SampleSummary socket_over =
         bench::summarize(paired_diff(socket_ns, direct_ns));
-    const bench::SampleSummary shm_over =
-        bench::summarize(paired_diff(shm_ns, direct_ns));
     json.add(config, "ingress_overhead_ns", socket_over);
-    json.add(config, "shm_overhead_ns", shm_over);
 
     print_row(config, "direct", direct);
     print_row(config, "socket", socket);
-    print_row(config, "shm", shm);
     print_row(config, "sock-over", socket_over);
-    print_row(config, "shm-over", shm_over);
     std::printf("\n");
   }
 

@@ -11,30 +11,9 @@
 
 namespace aid::ingress {
 
-namespace {
-/// Futex park timeout for ring waits. Short on purpose: a lost doorbell
-/// or a died-without-goodbye server costs one timeout, never a hang, and
-/// every wake re-checks transport state (the poll-backstop idiom).
-constexpr i64 kRingParkNs = 1'000'000;
-}  // namespace
-
-/// The client's half of the ring data plane. Owns the segment mapping
-/// and the doorbell eventfd.
-struct IngressClient::ShmEndpoint {
-  shm::Segment seg;
-  int event_fd = -1;
-  shm::RingTx submit_tx;  ///< producer side of the submit ring
-  shm::RingRx comp_rx;    ///< consumer side of the completion ring
-  FrameBuffer slot_rx;    ///< reassembles frames carried by slots
-
-  ~ShmEndpoint() {
-    if (event_fd >= 0) ::close(event_fd);
-  }
-};
-
 std::optional<IngressClient> IngressClient::connect(
     const std::string& socket_path, const std::string& client_name,
-    std::string* error, Transport transport) {
+    std::string* error) {
   const auto fail = [&](std::string why) -> std::optional<IngressClient> {
     if (error != nullptr) *error = std::move(why);
     return std::nullopt;
@@ -69,19 +48,6 @@ std::optional<IngressClient> IngressClient::connect(
     if (!c.pump(/*block=*/true)) break;
   if (!c.saw_hello_ack_ || !c.alive_)
     return fail(c.error_.empty() ? "handshake failed" : c.error_);
-
-  if (transport == Transport::kShm) {
-    // Ring negotiation: SHM_REQ, then pump until the SHM_ACK (whose
-    // sendmsg carries the memfd + doorbell eventfd) has been processed
-    // and the segment validated/mapped inside process().
-    c.want_shm_ = true;
-    if (!c.send_bytes(encode(ShmReqFrame{0})))
-      return fail("shm negotiation send: " + c.error_);
-    while (c.ring_ == nullptr && c.alive_)
-      if (!c.pump(/*block=*/true)) break;
-    if (c.ring_ == nullptr || !c.alive_)
-      return fail(c.error_.empty() ? "shm negotiation failed" : c.error_);
-  }
   return c;
 }
 
@@ -92,50 +58,31 @@ IngressClient::IngressClient(IngressClient&& other) noexcept {
 IngressClient& IngressClient::operator=(IngressClient&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
-    for (const int fd : pending_fds_) ::close(fd);
     fd_ = std::exchange(other.fd_, -1);
     alive_ = std::exchange(other.alive_, false);
     saw_hello_ack_ = other.saw_hello_ack_;
-    want_shm_ = other.want_shm_;
     window_ = other.window_;
     credits_ = other.credits_;
     next_req_ = other.next_req_;
     rx_ = std::move(other.rx_);
     done_ = std::move(other.done_);
     error_ = std::move(other.error_);
-    pending_fds_ = std::exchange(other.pending_fds_, {});
-    ring_ = std::move(other.ring_);
   }
   return *this;
 }
 
 IngressClient::~IngressClient() {
   if (fd_ >= 0) ::close(fd_);
-  for (const int fd : pending_fds_) ::close(fd);
 }
 
 u64 IngressClient::submit(const Request& req) {
-  // Backpressure lands HERE — no credit, or (shm) a full submit ring —
-  // never on the server's event loop. Socket: pump terminal frames until
-  // a credit frees. Ring: harvest completions, then park on the progress
-  // word of whichever resource we're blocked on until the server moves it.
-  while (alive_) {
-    u64 id = 0;
-    if (try_submit(req, &id)) return id;
-    if (!alive_) return 0;
-    if (ring_ == nullptr) {
-      if (!pump(/*block=*/true)) return 0;
-      continue;
-    }
-    shm::RingHdr* wait_hdr =
-        credits_ == 0 ? ring_->comp_rx.hdr() : ring_->submit_tx.hdr();
-    const u32 seen = shm::progress_snapshot(wait_hdr);
-    if (harvest_ring() > 0) continue;
-    if (!pump(/*block=*/false)) continue;  // control plane: ERROR / close
-    if (!shm::wait_progress(wait_hdr, seen, kRingParkNs))
-      doorbell();  // timed out: re-ring in case the doorbell was lost
-  }
-  return 0;
+  // Credit backpressure lands HERE: pump terminal frames (each returns a
+  // CREDIT) until a credit frees. The server's loop is never stalled by
+  // this client being over its window.
+  while (alive_ && credits_ == 0)
+    if (!pump(/*block=*/true)) return 0;
+  u64 id = 0;
+  return try_submit(req, &id) ? id : 0;
 }
 
 bool IngressClient::try_submit(const Request& req, u64* req_id) {
@@ -148,25 +95,7 @@ bool IngressClient::try_submit(const Request& req, u64* req_id) {
   m.sched_kind = static_cast<u8>(to_wire_sched(req.sched));
   m.chunk = req.chunk;
   m.workload = req.workload;
-  const std::vector<u8> bytes = encode(m);
-  if (ring_ != nullptr) {
-    if (bytes.size() > shm::kSlotFrameBytes) {
-      // Registry names are short; only misuse gets here — and silently
-      // falling back to the socket would split the credit accounting.
-      die("encoded SUBMIT does not fit a shm slot");
-      return false;
-    }
-    shm::Slot* slot = ring_->submit_tx.try_begin();
-    if (slot == nullptr) {
-      if (ring_->submit_tx.corrupt()) die("shm submit ring corrupt");
-      return false;  // ring full: same try-again contract as no credit
-    }
-    ring_->submit_tx.commit(slot, bytes.data(), static_cast<u16>(bytes.size()));
-    doorbell();
-    if (!alive_) return false;  // doorbell found the server gone
-  } else {
-    if (!send_bytes(bytes)) return false;
-  }
+  if (!send_bytes(encode(m))) return false;
   ++next_req_;
   --credits_;
   *req_id = m.req_id;
@@ -187,29 +116,14 @@ IngressClient::Result IngressClient::wait(u64 req_id) {
       r.message = error_.empty() ? "connection closed" : error_;
       return r;
     }
-    if (ring_ == nullptr) {
-      if (!pump(/*block=*/true)) continue;  // death surfaces above
-      continue;
-    }
-    // Ring wait ladder: snapshot the progress word BEFORE the harvest so
-    // a completion published in between turns the park into an immediate
-    // return instead of a lost wake.
-    const u32 seen = shm::progress_snapshot(ring_->comp_rx.hdr());
-    if (harvest_ring() > 0) continue;
-    if (!pump(/*block=*/false)) continue;  // control plane: ERROR / close
-    // The publish-time doorbell already rang; ring again only after a
-    // timeout (a lost doorbell heals in one park period, and the common
-    // path never wakes the server loop spuriously).
-    if (!shm::wait_progress(ring_->comp_rx.hdr(), seen, kRingParkNs))
-      doorbell();
+    // A frame for req_id that rode in with the close is still found
+    // above before death is reported.
+    (void)pump(/*block=*/true);
   }
 }
 
 std::optional<IngressClient::Result> IngressClient::try_take(u64 req_id) {
-  if (alive_) {
-    (void)harvest_ring();
-    (void)pump(/*block=*/false);
-  }
+  if (alive_) (void)pump(/*block=*/false);
   const auto it = done_.find(req_id);
   if (it == done_.end()) return std::nullopt;
   Result r = std::move(it->second);
@@ -265,10 +179,7 @@ bool IngressClient::pump(bool block) {
   if (rc <= 0) return true;  // timeout (non-blocking probe) or EINTR
 
   u8 buf[4096];
-  // recvmsg wrapper instead of plain read: SCM_RIGHTS descriptors (the
-  // SHM_ACK's memfd + eventfd) land in pending_fds_ alongside the bytes
-  // they rode with. On a pure socket connection it degrades to read().
-  const ssize_t n = shm::recv_with_fds(fd_, buf, sizeof buf, &pending_fds_);
+  const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
   if (n == 0) {
     die("server closed the connection");
     return false;
@@ -314,41 +225,6 @@ void IngressClient::process(Frame&& frame) {
     case FrameType::kCredit:
       credits_ += std::get<CreditFrame>(frame).credits;
       return;
-    case FrameType::kShmAck: {
-      const auto& m = std::get<ShmAckFrame>(frame);
-      if (!want_shm_ || ring_ != nullptr) {
-        die("unexpected SHM_ACK");
-        return;
-      }
-      if (pending_fds_.size() < 2) {
-        die("SHM_ACK arrived without its descriptors");
-        return;
-      }
-      const int memfd = pending_fds_[0];
-      const int efd = pending_fds_[1];
-      for (usize i = 2; i < pending_fds_.size(); ++i)
-        ::close(pending_fds_[i]);
-      pending_fds_.clear();
-      std::string err;
-      auto seg = shm::Segment::attach(memfd, m.submit_slots,
-                                      m.completion_slots, m.segment_bytes,
-                                      &err);  // owns/validates/maps memfd
-      if (!seg.has_value()) {
-        ::close(efd);
-        die("shm attach: " + err);
-        return;
-      }
-      auto ep = std::make_unique<ShmEndpoint>();
-      ep->seg = std::move(*seg);
-      ep->event_fd = efd;
-      ep->submit_tx = shm::RingTx(ep->seg.submit_hdr(),
-                                  ep->seg.submit_slots(), m.submit_slots);
-      ep->comp_rx =
-          shm::RingRx(ep->seg.completion_hdr(), ep->seg.completion_slots(),
-                      m.completion_slots);
-      ring_ = std::move(ep);
-      return;
-    }
     case FrameType::kCompleted: {
       const auto& m = std::get<CompletedFrame>(frame);
       Result r;
@@ -385,58 +261,6 @@ void IngressClient::process(Frame&& frame) {
           " from server");
       return;
   }
-}
-
-usize IngressClient::harvest_ring() {
-  if (ring_ == nullptr) return 0;
-  usize harvested = 0;
-  while (true) {
-    const shm::Slot* slot = ring_->comp_rx.try_begin();
-    if (slot == nullptr) {
-      if (ring_->comp_rx.corrupt()) die("shm completion ring corrupt");
-      break;
-    }
-    if (slot->len > shm::kSlotFrameBytes) {
-      die("shm completion slot length out of range");
-      break;
-    }
-    ring_->slot_rx.append(slot->frames, slot->len);
-    ring_->comp_rx.commit();  // frees the slot (the server's reservation)
-    ++harvested;
-  }
-  // Slots carry ordinary wire frames (terminal + folded CREDIT); they
-  // flow through the exact same process() as socket frames.
-  while (ring_ != nullptr) {
-    Decoded d = ring_->slot_rx.next();
-    if (d.status == DecodeStatus::kNeedMore) break;
-    if (d.status == DecodeStatus::kBad) {
-      die("malformed frame in shm slot: " + d.error);
-      break;
-    }
-    process(std::move(d.frame));
-    if (!alive_) break;
-  }
-  return harvested;
-}
-
-void IngressClient::doorbell() {
-  if (ring_ == nullptr) return;
-  // seq_cst load, no fence (ThreadSanitizer cannot model
-  // std::atomic_thread_fence — GCC's -Wtsan plus -Werror breaks the CI
-  // tsan leg, as rt/os_bridge.cc documents). The publish (release store
-  // of the slot stamp) can still reorder against the server's seq_cst
-  // park-then-recheck by the classic store/load window; the wait loops'
-  // futex timeouts close it — a missed doorbell costs one re-ring after
-  // kRingParkNs, never a hang.
-  const u32 state =
-      ring_->seg.hdr()->server_state.load(std::memory_order_seq_cst);
-  if (state == shm::kServerGone) {
-    die("server tore down the shm transport");
-    return;
-  }
-  if (state != shm::kServerParked) return;  // hot server: no syscall
-  const u64 one = 1;
-  (void)::write(ring_->event_fd, &one, sizeof one);
 }
 
 void IngressClient::die(std::string why) {

@@ -13,26 +13,13 @@
 // OTHER requests arriving while wait()ing for one are parked and handed
 // out when their wait() is called. Ticket-style: submit() returns a
 // req_id handle, wait(req_id) blocks until that request's terminal frame.
-//
-// Transports: kSocket moves every frame over the socket. kShm negotiates
-// a shared-memory ring pair (SHM_REQ/SHM_ACK + SCM_RIGHTS, see
-// src/ingress/shm_ring.h) during connect(); SUBMIT then becomes a slot
-// write + publish stamp + conditional doorbell, and terminal frames
-// (+ folded credits) are harvested from the completion ring — the same
-// frames, the same process() path, no syscalls while the server is hot.
-// Blocking waits use the spin→yield→futex ladder on the ring's progress
-// words with short timeouts (transport death and lost doorbells surface
-// within a timeout, never as a hang). The socket stays connected as the
-// control plane: CANCEL, connection-level ERROR and teardown.
 #pragma once
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "ingress/shm_ring.h"
 #include "ingress/wire.h"
 #include "sched/schedule_spec.h"
 #include "serve/job.h"
@@ -42,11 +29,6 @@ namespace aid::ingress {
 
 class IngressClient {
  public:
-  enum class Transport : u8 {
-    kSocket,  ///< every frame over the AF_UNIX socket (works cross-mount)
-    kShm,     ///< same-host ring data plane; socket kept as control plane
-  };
-
   struct Request {
     std::string workload;  ///< registry name (see aid_submit --list)
     i64 count = 1;
@@ -69,14 +51,12 @@ class IngressClient {
     i64 service_ns = 0;
   };
 
-  /// Connect + HELLO/HELLO_ACK handshake (blocking); with kShm, also the
-  /// SHM_REQ/SHM_ACK ring negotiation — a server that refuses the ring
-  /// is a connect failure, not a silent fallback. Returns nullopt and
+  /// Connect + HELLO/HELLO_ACK handshake (blocking). Returns nullopt and
   /// sets `error` on failure. `client_name` is the connection's tenant id
   /// in the server's per-tenant stats.
   [[nodiscard]] static std::optional<IngressClient> connect(
       const std::string& socket_path, const std::string& client_name,
-      std::string* error, Transport transport = Transport::kSocket);
+      std::string* error);
 
   IngressClient(IngressClient&& other) noexcept;
   IngressClient& operator=(IngressClient&& other) noexcept;
@@ -90,9 +70,6 @@ class IngressClient {
   /// The window granted at HELLO_ACK and the credits currently held.
   [[nodiscard]] u32 credit_window() const { return window_; }
   [[nodiscard]] u32 credits() const { return credits_; }
-
-  /// True when the shm ring data plane is active on this connection.
-  [[nodiscard]] bool shm_active() const { return ring_ != nullptr; }
 
   /// Submit, blocking (pumping frames) while no credit is available.
   /// Returns the req_id handle, or 0 when the connection died.
@@ -114,8 +91,6 @@ class IngressClient {
   void cancel(u64 req_id);
 
  private:
-  struct ShmEndpoint;
-
   IngressClient() = default;
 
   [[nodiscard]] bool send_bytes(const std::vector<u8>& bytes);
@@ -124,25 +99,15 @@ class IngressClient {
   void process(Frame&& frame);
   void die(std::string why);
 
-  /// Drain the completion ring through the ordinary frame path. Returns
-  /// slots harvested (0 = nothing pending); may die() on ring corruption.
-  usize harvest_ring();
-  /// Ring the server's doorbell iff it announced itself parked; detects
-  /// a torn-down transport (server_state == kServerGone) as death.
-  void doorbell();
-
   int fd_ = -1;
   bool alive_ = false;
   bool saw_hello_ack_ = false;  ///< HELLO_ACK received (window_ is valid)
-  bool want_shm_ = false;       ///< SHM_REQ sent; SHM_ACK is legal
   u32 window_ = 0;
   u32 credits_ = 0;
   u64 next_req_ = 1;
   FrameBuffer rx_;
   std::map<u64, Result> done_;  ///< parked terminal results
   std::string error_;
-  std::vector<int> pending_fds_;        ///< SCM_RIGHTS fds awaiting SHM_ACK
-  std::unique_ptr<ShmEndpoint> ring_;  ///< active shm data plane (or null)
 };
 
 }  // namespace aid::ingress

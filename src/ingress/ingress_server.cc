@@ -3,21 +3,17 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 
-#include "common/check.h"
 #include "common/env.h"
-#include "ingress/shm_ring.h"
 #include "workloads/serve_kernel.h"
 
 namespace aid::ingress {
@@ -44,24 +40,7 @@ void append_bytes(std::vector<u8>& dst, const std::vector<u8>& src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 
-i64 now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
-
-/// Ring-backed data plane of one connection. Loop-thread owned: created
-/// at SHM_REQ, drained and written only on the loop thread, torn down in
-/// close_conn (which runs on the loop thread, or on the destructor's
-/// thread after the loop has joined) — so no lock guards ring access.
-struct ShmConn {
-  shm::Segment seg;
-  int event_fd = -1;        ///< doorbell the client rings when we're parked
-  shm::RingRx submit_rx;    ///< client→server SUBMIT slots
-  shm::RingTx comp_tx;      ///< server→client terminal(+CREDIT) slots
-};
 
 // ---------------------------------------------------------------- plumbing
 
@@ -84,8 +63,6 @@ struct IngressServer::Conn {
   bool closed = false;
   std::vector<u8> tx;
   std::unordered_map<u64, PendingJob> jobs;
-
-  std::unique_ptr<ShmConn> ring;  ///< loop-thread only (see ShmConn)
 };
 
 /// State shared with completion hooks. Hooks capture shared_ptr<Core> and
@@ -135,11 +112,6 @@ IngressServer::Config IngressServer::Config::from_env() {
   c.socket_path = env::get_string("AID_INGRESS_SOCKET", "");
   c.credit_window = static_cast<u32>(
       env::get_int_at_least("AID_INGRESS_CREDITS", c.credit_window, 1));
-  c.shm_submit_slots = static_cast<u32>(env::get_int_at_least(
-      "AID_INGRESS_SHM_SLOTS", c.shm_submit_slots, 0));
-  c.shm_hot_ns =
-      env::get_int_at_least("AID_INGRESS_SHM_HOT_US", c.shm_hot_ns / 1000, 0) *
-      1000;
   return c;
 }
 
@@ -223,11 +195,6 @@ TenantStats IngressServer::tenant_stats(const std::string& tenant) const {
 
 void IngressServer::loop() {
   std::vector<pollfd> fds;
-  // fds[i] for i >= 2 pairs with refs[i - 2]: the connection plus whether
-  // the entry is its doorbell eventfd — ring-backed connections contribute
-  // two pollfds, so index math on conns_ alone can't name them.
-  std::vector<std::pair<std::shared_ptr<Conn>, bool>> refs;
-  i64 hot_until = 0;
   while (true) {
     {
       const std::scoped_lock lock(core_->mu);
@@ -235,10 +202,8 @@ void IngressServer::loop() {
     }
 
     fds.clear();
-    refs.clear();
     fds.push_back({listen_fd_, POLLIN, 0});
     fds.push_back({wake_rd_, POLLIN, 0});
-    bool any_ring = false;
     for (const auto& conn : conns_) {
       short events = POLLIN;
       {
@@ -246,43 +211,10 @@ void IngressServer::loop() {
         if (!conn->tx.empty()) events |= POLLOUT;
       }
       fds.push_back({conn->fd, events, 0});
-      refs.push_back({conn, false});
-      if (conn->ring != nullptr) {
-        any_ring = true;
-        fds.push_back({conn->ring->event_fd, POLLIN, 0});
-        refs.push_back({conn, true});
-      }
     }
 
-    // Hot vs parked. After recent ring activity the loop polls with zero
-    // timeout and yields when idle, so a ring handoff costs a scheduler
-    // donation instead of an eventfd wake out of a sleeping poll (which
-    // alone would blow the sub-µs budget). Outside the hot window it
-    // announces kServerParked — the client's cue that publishing now
-    // needs a doorbell — then re-checks the rings for a publish that
-    // raced the announcement, and only then blocks. The finite timeout
-    // stays as the belt-and-braces backstop for any lost wake.
-    int timeout = 250;
-    const bool hot = any_ring && now_ns() < hot_until;
-    if (hot) {
-      timeout = 0;
-    } else if (any_ring) {
-      for (const auto& conn : conns_)
-        if (conn->ring != nullptr)
-          conn->ring->seg.hdr()->server_state.store(shm::kServerParked,
-                                                    std::memory_order_seq_cst);
-      for (const auto& conn : conns_)
-        if (conn->ring != nullptr && shm_drain_ready(conn)) timeout = 0;
-    }
-
-    if (::poll(fds.data(), fds.size(), timeout) < 0 && errno != EINTR) return;
-
-    if (any_ring) {
-      for (const auto& conn : conns_)
-        if (conn->ring != nullptr)
-          conn->ring->seg.hdr()->server_state.store(shm::kServerHot,
-                                                    std::memory_order_release);
-    }
+    // Finite timeout as a backstop for a lost wake.
+    if (::poll(fds.data(), fds.size(), 250) < 0 && errno != EINTR) return;
 
     if ((fds[1].revents & POLLIN) != 0) {
       u8 drain[64];
@@ -291,38 +223,16 @@ void IngressServer::loop() {
     }
     if ((fds[0].revents & POLLIN) != 0) accept_ready();
 
-    // Snapshot: close_conn during iteration mutates conns_ only at the
-    // reap step below, never inside these handlers. A handler may close
-    // the connection (resetting conn->ring), so the doorbell entry for
-    // the same connection re-checks it.
+    // fds[i] pairs with conns_[i - 2]: accept_ready only appends, and
+    // close_conn only marks — conns_ shrinks at the reap step below.
     for (usize i = 2; i < fds.size(); ++i) {
-      const auto& [conn, is_doorbell] = refs[i - 2];
-      if (is_doorbell) {
-        if (conn->ring != nullptr && (fds[i].revents & POLLIN) != 0) {
-          u64 v = 0;
-          (void)::read(conn->ring->event_fd, &v, sizeof v);
-        }
-        continue;
-      }
+      const auto& conn = conns_[i - 2];
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0)
         conn_readable(conn);
       if ((fds[i].revents & POLLOUT) != 0) flush(conn);
     }
 
-    // Rings are drained every round, doorbell or not: a hot-window round
-    // has no doorbell (the whole point), and the peek is a single
-    // acquire load per idle ring.
-    usize ring_activity = 0;
-    for (const auto& conn : conns_)
-      if (conn->ring != nullptr) ring_activity += drain_shm(conn);
-    ring_activity += drain_completions();
-    if (ring_activity > 0) {
-      hot_until = now_ns() + config_.shm_hot_ns;
-    } else if (hot) {
-      // Idle hot round: donate the CPU — the client or dispatcher this
-      // loop is waiting on may need this very core.
-      std::this_thread::yield();
-    }
+    drain_completions();
 
     // Reap connections closed this iteration.
     conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
@@ -420,17 +330,8 @@ bool IngressServer::handle_frame(const std::shared_ptr<Conn>& conn,
         protocol_error(conn, "SUBMIT before HELLO");
         return false;
       }
-      if (conn->ring != nullptr) {
-        // One submission path per connection keeps the credit accounting
-        // single-sourced; mixing transports would let a client race its
-        // own window.
-        protocol_error(conn, "socket SUBMIT on a ring-backed connection");
-        return false;
-      }
       return handle_submit(conn, std::move(std::get<SubmitFrame>(frame)));
     }
-    case FrameType::kShmReq:
-      return handle_shm_req(conn, std::get<ShmReqFrame>(frame).submit_slots);
     case FrameType::kCancel: {
       if (!conn->hello_done) {
         protocol_error(conn, "CANCEL before HELLO");
@@ -459,8 +360,8 @@ bool IngressServer::handle_submit(const std::shared_ptr<Conn>& conn,
                                   SubmitFrame&& m) {
   // Terminal-without-admission paths: the reject frame plus the folded
   // CREDIT{1} that balances the credit this SUBMIT consumed. False: the
-  // connection was dropped (tx backlog cap / ring violation — the peer
-  // is not harvesting its responses).
+  // connection was dropped (tx backlog cap — the peer is not reading its
+  // responses).
   const auto reject = [&](std::string reason, bool no_credit) {
     {
       const std::scoped_lock lock(core_->mu);
@@ -468,8 +369,7 @@ bool IngressServer::handle_submit(const std::shared_ptr<Conn>& conn,
                    : core_->stats.invalid_rejects);
       ++core_->tenants[conn->tenant].rejected;
     }
-    return respond(conn, encode_response(
-                             conn, RejectedFrame{m.req_id, std::move(reason)}));
+    return respond(conn, RejectedFrame{m.req_id, std::move(reason)});
   };
 
   bool duplicate = false;
@@ -537,13 +437,12 @@ bool IngressServer::handle_submit(const std::shared_ptr<Conn>& conn,
   return true;
 }
 
-usize IngressServer::drain_completions() {
+void IngressServer::drain_completions() {
   std::vector<Core::Completion> batch;
   {
     const std::scoped_lock lock(core_->mu);
     batch.swap(core_->completions);
   }
-  usize ring_deliveries = 0;
   for (Core::Completion& c : batch) {
     // Harvest on the loop thread, no locks held: result, checksum (an
     // O(count) reduction) and frame encode all happen here.
@@ -586,222 +485,19 @@ usize IngressServer::drain_completions() {
       const std::scoped_lock lock(core_->mu);
       ++(core_->tenants[c.conn->tenant].*bucket);
     }
-    if (!respond(c.conn, encode_response(c.conn, std::move(terminal))))
-      continue;
-    if (c.conn->ring != nullptr) ++ring_deliveries;
+    respond(c.conn, terminal);
   }
-  return ring_deliveries;
-}
-
-// ------------------------------------------------------- shm data plane
-
-bool IngressServer::handle_shm_req(const std::shared_ptr<Conn>& conn,
-                                   u32 want_slots) {
-  if (!conn->hello_done) {
-    protocol_error(conn, "SHM_REQ before HELLO");
-    return false;
-  }
-  if (conn->ring != nullptr) {
-    protocol_error(conn, "duplicate SHM_REQ");
-    return false;
-  }
-  if (config_.shm_submit_slots == 0) {
-    protocol_error(conn, "shm transport disabled on this server");
-    return false;
-  }
-  // The ack and its descriptors must be the next bytes the client reads;
-  // anything still buffered goes out first. Only HELLO_ACK can precede a
-  // SHM_REQ, so a backlog here means the peer is not reading its socket.
-  flush(conn);
-  bool backlogged = false;
-  {
-    const std::scoped_lock lock(conn->mu);
-    if (conn->closed) return false;
-    backlogged = !conn->tx.empty();
-  }
-  if (backlogged) {
-    overflow_close(conn);
-    return false;
-  }
-
-  const u32 submit_slots = shm::clamp_ring_slots(
-      want_slots == 0 ? config_.shm_submit_slots : want_slots);
-  // A completion slot is reserved per in-flight job before a submit slot
-  // is consumed (see drain_shm), and immediate rejects of a full submit
-  // ring need room too — so the completion ring covers both plus slack.
-  const u32 completion_slots =
-      shm::clamp_ring_slots(submit_slots + config_.credit_window + 1);
-
-  std::string err;
-  auto seg = shm::Segment::create(submit_slots, completion_slots, &err);
-  if (!seg.has_value()) {
-    protocol_error(conn, "shm segment setup failed: " + err);
-    return false;
-  }
-  const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (efd < 0) {
-    protocol_error(conn, std::string("shm doorbell setup failed: ") +
-                             std::strerror(errno));
-    return false;
-  }
-
-  const shm::Geometry& geo = seg->geometry();
-  const std::vector<u8> ack = encode(ShmAckFrame{
-      geo.submit_slots, geo.completion_slots, geo.bytes()});
-  const int fds[2] = {seg->fd(), efd};
-  if (!shm::send_with_fds(conn->fd, ack.data(), ack.size(), fds, 2, &err)) {
-    ::close(efd);
-    // The peer vanished (or wedged its socket) mid-negotiation.
-    close_conn(conn);
-    return false;
-  }
-
-  auto ring = std::make_unique<ShmConn>();
-  ring->seg = std::move(*seg);
-  ring->seg.close_fd();  // the client holds its own copy now
-  ring->event_fd = efd;
-  ring->submit_rx = shm::RingRx(ring->seg.submit_hdr(),
-                                ring->seg.submit_slots(), geo.submit_slots);
-  ring->comp_tx =
-      shm::RingTx(ring->seg.completion_hdr(), ring->seg.completion_slots(),
-                  geo.completion_slots);
-  conn->ring = std::move(ring);
-  {
-    const std::scoped_lock lock(core_->mu);
-    ++core_->stats.shm_connections;
-  }
-  return true;
-}
-
-bool IngressServer::shm_drain_ready(const std::shared_ptr<Conn>& conn) {
-  ShmConn* ring = conn->ring.get();
-  if (ring == nullptr) return false;
-  usize inflight;
-  {
-    const std::scoped_lock lock(conn->mu);
-    if (conn->closed) return false;
-    inflight = conn->jobs.size();
-  }
-  if (ring->comp_tx.free_slots() < inflight + 1) return false;
-  return ring->submit_rx.ready();
-}
-
-usize IngressServer::drain_shm(const std::shared_ptr<Conn>& conn) {
-  ShmConn* ring = conn->ring.get();
-  if (ring == nullptr) return 0;
-  usize drained = 0;
-  // One lap per round: a client publishing continuously must not pin the
-  // loop thread here while other connections starve (the bounded-read
-  // rule of conn_readable, applied to slots).
-  const usize batch_cap = ring->submit_rx.capacity();
-  while (drained < batch_cap) {
-    {
-      const std::scoped_lock lock(conn->mu);
-      if (conn->closed) return drained;
-    }
-    if (!shm_drain_ready(conn)) break;
-    const shm::Slot* slot = ring->submit_rx.try_begin();
-    if (slot == nullptr) {
-      if (ring->submit_rx.corrupt()) {
-        {
-          const std::scoped_lock lock(core_->mu);
-          ++core_->stats.ring_corrupt_closes;
-        }
-        protocol_error(conn, "shm submit ring stamp corruption");
-      }
-      return drained;
-    }
-    if (slot->len > shm::kSlotFrameBytes) {
-      {
-        const std::scoped_lock lock(core_->mu);
-        ++core_->stats.ring_corrupt_closes;
-      }
-      protocol_error(conn, "shm slot length out of range");
-      return drained;
-    }
-    // Same strict codec as the socket: a slot must hold EXACTLY one
-    // complete frame (kNeedMore = truncated, under-consumed = trailing
-    // garbage), and that frame must be a SUBMIT — everything else stays
-    // on the control plane.
-    Decoded d = decode_frame(slot->frames, slot->len);
-    ring->submit_rx.commit();  // frame is copied out; free the slot early
-    shm::bump_progress(ring->submit_rx.hdr());
-    ++drained;
-    if (d.status != DecodeStatus::kOk || d.consumed != slot->len) {
-      protocol_error(conn, "malformed shm slot: " +
-                               (d.status == DecodeStatus::kBad
-                                    ? d.error
-                                    : std::string("truncated or padded")));
-      return drained;
-    }
-    {
-      const std::scoped_lock lock(core_->mu);
-      ++core_->stats.frames_decoded;
-    }
-    if (type_of(d.frame) != FrameType::kSubmit) {
-      protocol_error(conn, std::string("non-SUBMIT frame in shm slot: ") +
-                               to_string(type_of(d.frame)));
-      return drained;
-    }
-    {
-      const std::scoped_lock lock(core_->mu);
-      ++core_->stats.ring_submits;
-    }
-    if (!handle_submit(conn, std::move(std::get<SubmitFrame>(d.frame))))
-      return drained;
-  }
-  return drained;
-}
-
-std::vector<u8> IngressServer::encode_response(
-    const std::shared_ptr<Conn>& conn, Frame&& terminal) {
-  if (conn->ring != nullptr) {
-    // Slot strings are shorter than socket strings: truncated so any
-    // terminal frame plus its folded CREDIT fits one slot exactly.
-    if (auto* rej = std::get_if<RejectedFrame>(&terminal)) {
-      if (rej->reason.size() > shm::kShmMaxString)
-        rej->reason.resize(shm::kShmMaxString);
-    } else if (auto* err = std::get_if<ErrorFrame>(&terminal)) {
-      if (err->message.size() > shm::kShmMaxString)
-        err->message.resize(shm::kShmMaxString);
-    }
-  }
-  std::vector<u8> out = encode(terminal);
-  append_bytes(out, encode(CreditFrame{1}));
-  return out;
 }
 
 bool IngressServer::respond(const std::shared_ptr<Conn>& conn,
-                            const std::vector<u8>& bytes) {
-  if (conn->ring == nullptr) {
-    if (!append_tx(conn, bytes)) {
-      overflow_close(conn);
-      return false;
-    }
-    flush(conn);
-    return true;
-  }
-  {
-    const std::scoped_lock lock(conn->mu);
-    if (conn->closed) return true;  // late completion for a gone peer
-  }
-  AID_CHECK_MSG(bytes.size() <= shm::kSlotFrameBytes,
-                "ring response exceeds slot capacity");
-  shm::Slot* slot = conn->ring->comp_tx.try_begin();
-  if (slot == nullptr) {
-    // Reservation-gated draining guarantees a completion slot for every
-    // terminal response; no slot means the client broke the protocol
-    // (scribbled stamps or lied in its harvest mirror).
-    {
-      const std::scoped_lock lock(core_->mu);
-      ++core_->stats.ring_corrupt_closes;
-    }
-    close_conn(conn);
+                            const Frame& terminal) {
+  std::vector<u8> bytes = encode(terminal);
+  append_bytes(bytes, encode(CreditFrame{1}));
+  if (!append_tx(conn, bytes)) {
+    overflow_close(conn);
     return false;
   }
-  conn->ring->comp_tx.commit(slot, bytes.data(),
-                             static_cast<u16>(bytes.size()));
-  shm::bump_progress(conn->ring->comp_tx.hdr());
+  flush(conn);
   return true;
 }
 
@@ -873,7 +569,6 @@ void IngressServer::protocol_error(const std::shared_ptr<Conn>& conn,
 
 void IngressServer::close_conn(const std::shared_ptr<Conn>& conn) {
   std::vector<serve::JobTicket> orphans;
-  std::unique_ptr<ShmConn> ring;
   {
     const std::scoped_lock lock(conn->mu);
     if (conn->closed) return;
@@ -882,24 +577,9 @@ void IngressServer::close_conn(const std::shared_ptr<Conn>& conn) {
     for (auto& [id, job] : conn->jobs) orphans.push_back(job.ticket);
     conn->jobs.clear();
     conn->tx.clear();
-    ring = std::move(conn->ring);
     ::close(conn->fd);
     conn->fd = -1;
   }
-  if (ring != nullptr) {
-    // Teardown handshake: mark the segment dead and wake any parked
-    // client BEFORE unmapping our view — a client blocked in a futex
-    // wait re-checks server_state on wake and reports transport death
-    // instead of sleeping its timeout out. Unmapping here only drops the
-    // server's view; the client's own mapping stays valid until it
-    // unmaps. Stamped-but-unharvested submit slots are forfeit, like
-    // undecoded socket bytes at FIN.
-    ring->seg.hdr()->server_state.store(shm::kServerGone,
-                                        std::memory_order_seq_cst);
-    shm::bump_progress(ring->seg.submit_hdr());
-    shm::bump_progress(ring->seg.completion_hdr());
-    ::close(ring->event_fd);
-  }  // ~ShmConn unmaps the segment
   {
     const std::scoped_lock lock(core_->mu);
     ++core_->stats.connections_closed;

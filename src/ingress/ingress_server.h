@@ -33,24 +33,6 @@
 // ERROR frame and a close — never a crash, never an assert (see
 // src/ingress/README.md).
 //
-// Shared-memory data plane (src/ingress/shm_ring.h): after HELLO, a
-// same-host client may send SHM_REQ; the server stands up a per-client
-// SPSC ring pair in a memfd segment, passes it (plus a doorbell eventfd)
-// back with SHM_ACK via SCM_RIGHTS, and from then on SUBMIT and the
-// terminal frames (+ folded CREDIT{1}) move through ring slots — the
-// socket remains the control plane (CANCEL, connection-level ERROR,
-// teardown). A ring-backed connection runs the SAME state machine:
-// slots carry ordinary wire frames, decoded by the same strict codec,
-// hitting the same credit window, workload validation, QoS routing and
-// tenant stats. The loop drains rings in batches; a submit slot is
-// consumed only while a completion slot is reserved for every in-flight
-// job plus this one, so every terminal response is guaranteed ring
-// space and submit-ring fullness backpressures only the client. After
-// ring activity the loop stays "hot" (zero-timeout poll rounds with
-// yields) for a short window so steady-state handoffs skip the
-// eventfd/poll syscall pair entirely; parking is announced through the
-// segment header so clients only ring the doorbell when it matters.
-//
 // Lifetime: construct AFTER the ServeNode and destroy BEFORE it (the
 // server borrows the node). The destructor stops the loop, cancels every
 // in-flight job and closes all sockets; late completion hooks for jobs
@@ -69,14 +51,6 @@
 
 namespace aid::ingress {
 
-/// Default shm hot-window length: busy-polling the rings only pays when
-/// the event loop can burn a core nobody else needs — loop + client +
-/// at least a worker apiece. Below that, parking in poll(2) is strictly
-/// faster end to end.
-[[nodiscard]] inline i64 default_shm_hot_ns() {
-  return std::thread::hardware_concurrency() >= 4 ? 200'000 : 0;
-}
-
 /// Per-tenant (per-HELLO-name) terminal-frame accounting. Two concurrent
 /// clients submitting under different names observe disjoint counters.
 struct TenantStats {
@@ -93,22 +67,7 @@ class IngressServer {
     std::string socket_path;  ///< AF_UNIX path (unlinked + rebound)
     u32 credit_window = 8;    ///< per-connection in-flight job grant (>= 1)
     int listen_backlog = 16;
-    /// Default submit-ring depth granted to SHM_REQ (clamped to a power
-    /// of two in [shm::kMinRingSlots, shm::kMaxRingSlots]); 0 disables
-    /// the shm data plane (SHM_REQ is refused with a REJECT-style
-    /// connection error).
-    u32 shm_submit_slots = 64;
-    /// How long the loop keeps polling with zero timeout after ring
-    /// activity before parking back into blocking poll(2). Hot rounds
-    /// cost yields, not sleeps — this is the knob that buys sub-µs
-    /// handoff at the price of burning idle cycles for at most this
-    /// long per burst. Defaults to 0 (always park) on hosts too small
-    /// for the loop, the client and the workers to hold distinct cores:
-    /// there a hot loop steals the very CPU the job needs, and measured
-    /// round trips get WORSE, not better.
-    i64 shm_hot_ns = default_shm_hot_ns();
-    /// AID_INGRESS_SOCKET / AID_INGRESS_CREDITS / AID_INGRESS_SHM_SLOTS /
-    /// AID_INGRESS_SHM_HOT_US (warn-once fallbacks).
+    /// AID_INGRESS_SOCKET / AID_INGRESS_CREDITS (warn-once fallbacks).
     [[nodiscard]] static Config from_env();
   };
 
@@ -123,9 +82,6 @@ class IngressServer {
     u64 disconnect_cancels = 0;  ///< jobs cancelled by a client vanishing
     u64 tx_overflow_closes = 0;  ///< conns dropped for not reading responses
     u64 max_inflight = 0;        ///< high-water in-flight jobs of any conn
-    u64 shm_connections = 0;     ///< SHM_REQs granted (ring pairs stood up)
-    u64 ring_submits = 0;        ///< SUBMITs that arrived via ring slots
-    u64 ring_corrupt_closes = 0;  ///< conns dropped for ring stamp corruption
   };
 
   /// Binds and starts serving immediately. Throws std::runtime_error when
@@ -155,25 +111,10 @@ class IngressServer {
   /// False => the connection was closed (protocol error / tx overflow).
   bool handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame);
   bool handle_submit(const std::shared_ptr<Conn>& conn, SubmitFrame&& m);
-  bool handle_shm_req(const std::shared_ptr<Conn>& conn, u32 want_slots);
-  /// Drain the connection's submit ring (bounded batch, reservation-
-  /// gated). Returns the number of slots consumed; closes the connection
-  /// on corrupt stamps or non-SUBMIT ring traffic.
-  usize drain_shm(const std::shared_ptr<Conn>& conn);
-  /// True when drain_shm would make progress right now (used by the
-  /// park/hot decision; never mutates ring state).
-  [[nodiscard]] bool shm_drain_ready(const std::shared_ptr<Conn>& conn);
-  /// Encode a terminal frame + folded CREDIT{1} for this connection's
-  /// transport (ring responses get their strings truncated to fit a slot).
-  [[nodiscard]] std::vector<u8> encode_response(
-      const std::shared_ptr<Conn>& conn, Frame&& terminal);
-  /// Deliver response bytes via the connection's transport (completion
-  /// slot or tx buffer). False => the connection was closed.
-  bool respond(const std::shared_ptr<Conn>& conn,
-               const std::vector<u8>& bytes);
-  /// Returns the number of responses delivered via ring slots (feeds the
-  /// loop's hot-window decision; socket deliveries don't keep it hot).
-  usize drain_completions();
+  /// Queue a terminal frame plus its folded CREDIT{1} and flush. False =>
+  /// the connection was closed (tx backlog cap).
+  bool respond(const std::shared_ptr<Conn>& conn, const Frame& terminal);
+  void drain_completions();
   /// Max bytes of undelivered server->client frames one connection may
   /// buffer before it counts as not reading (see append_tx).
   [[nodiscard]] usize tx_cap() const;

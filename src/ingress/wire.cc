@@ -78,8 +78,6 @@ FrameType type_of(const Frame& f) {
     FrameType operator()(const RejectedFrame&) { return FrameType::kRejected; }
     FrameType operator()(const ErrorFrame&) { return FrameType::kError; }
     FrameType operator()(const CreditFrame&) { return FrameType::kCredit; }
-    FrameType operator()(const ShmReqFrame&) { return FrameType::kShmReq; }
-    FrameType operator()(const ShmAckFrame&) { return FrameType::kShmAck; }
   };
   return std::visit(Visitor{}, f);
 }
@@ -139,18 +137,6 @@ std::vector<u8> encode(const Frame& f) {
       WireWriter w;
       w.put_u32(m.credits);
       return finish(FrameType::kCredit, std::move(w));
-    }
-    std::vector<u8> operator()(const ShmReqFrame& m) {
-      WireWriter w;
-      w.put_u32(m.submit_slots);
-      return finish(FrameType::kShmReq, std::move(w));
-    }
-    std::vector<u8> operator()(const ShmAckFrame& m) {
-      WireWriter w;
-      w.put_u32(m.submit_slots);
-      w.put_u32(m.completion_slots);
-      w.put_u64(m.segment_bytes);
-      return finish(FrameType::kShmAck, std::move(w));
     }
   };
   return std::visit(Visitor{}, f);
@@ -254,24 +240,6 @@ Decoded decode_frame(const u8* data, usize size) {
       m.credits = r.get_u32();
       if (!strict_end(r, d, "CREDIT")) return d;
       if (m.credits == 0) return bad("CREDIT: zero-credit grant");
-      d.frame = m;
-      break;
-    }
-    case FrameType::kShmReq: {
-      ShmReqFrame m;
-      m.submit_slots = r.get_u32();
-      if (!strict_end(r, d, "SHM_REQ")) return d;
-      d.frame = m;
-      break;
-    }
-    case FrameType::kShmAck: {
-      ShmAckFrame m;
-      m.submit_slots = r.get_u32();
-      m.completion_slots = r.get_u32();
-      m.segment_bytes = r.get_u64();
-      if (!strict_end(r, d, "SHM_ACK")) return d;
-      if (m.submit_slots == 0 || m.completion_slots == 0)
-        return bad("SHM_ACK: zero-slot ring");
       d.frame = m;
       break;
     }

@@ -56,9 +56,9 @@ enum class FrameType : u8 {
   kRejected = 6,   ///< terminal: refused before running, with a reason
   kError = 7,      ///< terminal (req_id != 0) or connection-fatal (req_id 0)
   kCredit = 8,     ///< flow-control grant: add N credits to the window
-  // shm ring negotiation (control plane; data moves to the ring)
-  kShmReq = 9,   ///< c→s: request a shared-memory ring pair for this conn
-  kShmAck = 10,  ///< s→c: granted geometry; memfd + eventfd ride SCM_RIGHTS
+  // 9 and 10 are retired: they negotiated a shared-memory ring transport
+  // that was deleted. They decode as unknown types, so a client that still
+  // sends them gets ERROR{0} and a close. Do not reuse them.
 };
 
 [[nodiscard]] constexpr const char* to_string(FrameType t) {
@@ -71,8 +71,6 @@ enum class FrameType : u8 {
     case FrameType::kRejected: return "REJECTED";
     case FrameType::kError: return "ERROR";
     case FrameType::kCredit: return "CREDIT";
-    case FrameType::kShmReq: return "SHM_REQ";
-    case FrameType::kShmAck: return "SHM_ACK";
   }
   return "?";
 }
@@ -144,27 +142,9 @@ struct CreditFrame {
   u32 credits = 0;  ///< grant: add this many credits to the window
 };
 
-/// Ask the server to stand up a shared-memory ring pair for this
-/// connection (after HELLO_ACK). On grant, SUBMIT and the terminal
-/// frames + folded CREDITs move to the ring; the socket remains the
-/// control plane (CANCEL, connection-level ERROR, teardown via close).
-struct ShmReqFrame {
-  u32 submit_slots = 0;  ///< requested submit-ring depth hint (0 = default)
-};
-
-/// Grant. The SAME sendmsg that carries this frame's first byte carries
-/// two descriptors via SCM_RIGHTS, in order: [0] the ring segment memfd,
-/// [1] the server's doorbell eventfd. Geometry is echoed so the client
-/// can validate the mapped segment before trusting a byte of it.
-struct ShmAckFrame {
-  u32 submit_slots = 0;
-  u32 completion_slots = 0;
-  u64 segment_bytes = 0;
-};
-
 using Frame = std::variant<HelloFrame, HelloAckFrame, SubmitFrame,
                            CancelFrame, CompletedFrame, RejectedFrame,
-                           ErrorFrame, CreditFrame, ShmReqFrame, ShmAckFrame>;
+                           ErrorFrame, CreditFrame>;
 
 [[nodiscard]] FrameType type_of(const Frame& f);
 

@@ -8,8 +8,8 @@ namespace aid::sched {
 
 WeightedFactoringScheduler::WeightedFactoringScheduler(
     i64 count, const platform::TeamLayout& layout,
-    std::vector<double> weights, ShardTopology topo)
-    : pool_(std::move(topo), layout.nthreads()), weights_(std::move(weights)) {
+    std::vector<double> weights)
+    : pool_(layout.nthreads()), weights_(std::move(weights)) {
   AID_CHECK(count >= 0);
   if (weights_.empty()) {
     weights_.reserve(static_cast<usize>(layout.nthreads()));
@@ -51,9 +51,7 @@ void WeightedFactoringScheduler::reset(i64 count) {
 
 SchedulerStats WeightedFactoringScheduler::stats() const {
   return {.pool_removals = pool_.removals(),
-          .local_removals = pool_.local_removals(),
-          .steal_removals = pool_.remote_removals(),
-          .shard_rebalances = pool_.rebalances()};
+          .local_removals = pool_.removals()};
 }
 
 }  // namespace aid::sched

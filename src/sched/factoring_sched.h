@@ -16,13 +16,14 @@
 // from nominal (Fig. 2!), it misallocates.
 //
 // Implementation: a thread's removal takes remaining * w_t / (2 * sum w)
-// (at least 1), the practical self-scheduled form of weighted factoring.
+// (at least 1), the practical self-scheduled form of weighted factoring,
+// with `remaining` the whole loop's: the pool is one shared work share.
 #pragma once
 
 #include <vector>
 
 #include "sched/loop_scheduler.h"
-#include "sched/sharded_work_share.h"
+#include "sched/work_share.h"
 
 namespace aid::sched {
 
@@ -31,8 +32,7 @@ class WeightedFactoringScheduler final : public LoopScheduler {
   /// Weights default to the layout's nominal per-thread speeds; a custom
   /// vector (one entry per thread) may be supplied for experimentation.
   WeightedFactoringScheduler(i64 count, const platform::TeamLayout& layout,
-                             std::vector<double> weights = {},
-                             ShardTopology topo = {});
+                             std::vector<double> weights = {});
 
   bool next(ThreadContext& tc, IterRange& out) override;
   void reset(i64 count) override;
@@ -48,7 +48,7 @@ class WeightedFactoringScheduler final : public LoopScheduler {
   [[nodiscard]] const std::vector<double>& weights() const { return weights_; }
 
  private:
-  ShardedWorkShare pool_;
+  WorkShare pool_;
   std::vector<double> weights_;
   double weight_sum_ = 0.0;
 };

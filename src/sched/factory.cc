@@ -28,7 +28,7 @@ std::unique_ptr<LoopScheduler> build(const ScheduleSpec& spec, i64 count,
                                                 layout.nthreads(), topo);
     case ScheduleKind::kGuided:
       return std::make_unique<GuidedScheduler>(count, layout,
-                                               spec.effective_chunk(), topo);
+                                               spec.effective_chunk());
     case ScheduleKind::kAidStatic:
       return std::make_unique<AidBlockScheduler>(
           count, layout, spec.effective_chunk(), /*aid_fraction=*/1.0,
@@ -46,11 +46,9 @@ std::unique_ptr<LoopScheduler> build(const ScheduleSpec& spec, i64 count,
           spec.aid_endgame, topo);
     case ScheduleKind::kTrapezoid:
       return std::make_unique<TrapezoidScheduler>(count, layout, spec.chunk,
-                                                  spec.major_chunk, topo);
+                                                  spec.major_chunk);
     case ScheduleKind::kWeightedFactoring:
-      return std::make_unique<WeightedFactoringScheduler>(count, layout,
-                                                          std::vector<double>{},
-                                                          topo);
+      return std::make_unique<WeightedFactoringScheduler>(count, layout);
   }
   AID_CHECK(false);
   return nullptr;

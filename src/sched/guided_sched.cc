@@ -5,9 +5,8 @@
 namespace aid::sched {
 
 GuidedScheduler::GuidedScheduler(i64 count,
-                                 const platform::TeamLayout& layout, i64 chunk,
-                                 ShardTopology topo)
-    : pool_(std::move(topo), layout.nthreads()),
+                                 const platform::TeamLayout& layout, i64 chunk)
+    : pool_(layout.nthreads()),
       chunk_(chunk > 0 ? chunk : 1),
       nthreads_(layout.nthreads()) {
   AID_CHECK(count >= 0);
@@ -36,9 +35,7 @@ void GuidedScheduler::reset(i64 count) {
 
 SchedulerStats GuidedScheduler::stats() const {
   return {.pool_removals = pool_.removals(),
-          .local_removals = pool_.local_removals(),
-          .steal_removals = pool_.remote_removals(),
-          .shard_rebalances = pool_.rebalances()};
+          .local_removals = pool_.removals()};
 }
 
 }  // namespace aid::sched

@@ -7,23 +7,19 @@
 // removals hand each thread ~NI/T iterations regardless of core speed, so a
 // small-core thread can strand a huge early block while the shrinking tail
 // is too small to rebalance. bench_guided_comparison reproduces this.
-// Under a sharded topology the shrinking removal is computed against the
-// *segment* being CASed (the caller's home-shard segment in the common
-// case) while the divisor stays the team-wide thread count, so chunks
-// shrink faster than classic guided — per cluster, and again per block
-// the steal path migrates. Cross-cluster traffic only appears when a
-// cluster's shard drains and the thread steals.
+// The pool is libgomp's single work share on real threads too: every chunk
+// is sized by the whole loop's remainder, so the runtime's chunk sequence
+// is the one the paper measured.
 #pragma once
 
 #include "sched/loop_scheduler.h"
-#include "sched/sharded_work_share.h"
+#include "sched/work_share.h"
 
 namespace aid::sched {
 
 class GuidedScheduler final : public LoopScheduler {
  public:
-  GuidedScheduler(i64 count, const platform::TeamLayout& layout, i64 chunk,
-                  ShardTopology topo = {});
+  GuidedScheduler(i64 count, const platform::TeamLayout& layout, i64 chunk);
 
   bool next(ThreadContext& tc, IterRange& out) override;
   void reset(i64 count) override;
@@ -35,7 +31,7 @@ class GuidedScheduler final : public LoopScheduler {
   [[nodiscard]] i64 remaining() const override { return pool_.remaining(); }
 
  private:
-  ShardedWorkShare pool_;
+  WorkShare pool_;
   i64 chunk_;
   int nthreads_;
 };

@@ -47,6 +47,13 @@ ShardTopology ShardTopology::for_schedule(ScheduleKind kind,
   switch (kind) {
     case ScheduleKind::kStatic:
       return {};  // no pool to shard
+    case ScheduleKind::kGuided:
+    case ScheduleKind::kTrapezoid:
+    case ScheduleKind::kWeightedFactoring:
+      // The related-work baselines size chunks from the whole loop's
+      // remainder: they hold libgomp's single work share and take no
+      // topology. The empty one says so to callers that ask.
+      return {};
     case ScheduleKind::kDynamic:
     case ScheduleKind::kAidStatic:
     case ScheduleKind::kAidHybrid:
@@ -59,13 +66,6 @@ ShardTopology ShardTopology::for_schedule(ScheduleKind kind,
       // shared cursor; per core type on an AMP, where per-thread shards
       // measured slower on serve-mix (src/sched/README.md).
       return layout.is_uniform() ? per_thread(layout) : per_core_type(layout);
-    case ScheduleKind::kGuided:
-    case ScheduleKind::kTrapezoid:
-    case ScheduleKind::kWeightedFactoring:
-      // Guided and factoring size each chunk by its segment's remainder, so
-      // per-thread shards would change their chunk sequence; trapezoid is
-      // not measured end to end.
-      return per_core_type(layout);
   }
   AID_CHECK(false);
   return {};

@@ -4,7 +4,9 @@
 // partition whose hot segment word only that shard's members write on the
 // fast path (see sched/sharded_work_share.h and src/sched/README.md). Two
 // layouts exist, and the schedule kind picks one (for_schedule); for
-// AID-dynamic, so does whether the layout is uniform:
+// AID-dynamic, so does whether the layout is uniform. Static and the
+// related-work baselines (guided, trapezoid, weighted factoring) get the
+// empty topology: no pool, or libgomp's single work share.
 //
 //  * per thread — one shard per team thread, capacity = its nominal speed.
 //    A fixed-chunk take is then an RMW on a word no other thread writes
@@ -14,7 +16,7 @@
 //  * per core type — one shard per populated core type, so the
 //    self-scheduling traffic of each cluster stays cluster-local (the
 //    Catalán et al. / Krishna & Balachandran partitioning argument,
-//    PAPERS.md).
+//    PAPERS.md). AID-dynamic on an AMP is its only user.
 //
 // The topology is *mechanism description*, not policy: it is derived from
 // the layout a scheduler is built for (the factory's cache-miss path), which
@@ -57,8 +59,9 @@ struct ShardTopology {
   /// The topology a runtime-built scheduler of `kind` arms on `layout` —
   /// the one place that choice is made. Per thread for `dynamic`,
   /// `aid-static` and `aid-hybrid`, and for `aid-dynamic` on a uniform
-  /// layout; per core type for `aid-dynamic` on an AMP and for the rest
-  /// (static has no pool, so it gets the empty topology).
+  /// layout; per core type for `aid-dynamic` on an AMP; empty for static
+  /// (no pool) and for guided, trapezoid and weighted factoring (one
+  /// shared work share).
   [[nodiscard]] static ShardTopology for_schedule(
       ScheduleKind kind, const platform::TeamLayout& layout);
 };

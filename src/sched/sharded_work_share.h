@@ -9,7 +9,10 @@
 // cache line and is written only by its home threads on the fast path, so
 // the common-case removal is a *home-local* RMW — with per-thread shards,
 // an RMW on a word no other thread writes. Cross-shard traffic happens per
-// *steal* or per *bulk migration* — not per chunk.
+// *steal* or per *bulk migration* — not per chunk. Takes are sized by the
+// caller (dynamic's chunk, AID's blocks); the schedules that size a chunk
+// from the loop's remainder (guided, weighted factoring) hold a plain
+// WorkShare instead, where the remainder is the whole loop's.
 //
 // Mechanics (full design note + memory-ordering argument in
 // src/sched/README.md):
@@ -104,46 +107,6 @@ class ShardedWorkShare {
       return r;
     }
     return take_stealing(want, tid, home);
-  }
-
-  /// Remove with a size recomputed from the *segment's* remaining count
-  /// (guided semantics become per-cluster under sharding; with one shard
-  /// this is exactly WorkShare::take_adaptive). Pure CAS — never
-  /// overshoots, so it needs no fetch_add want cap.
-  template <typename WantFn>
-  IterRange take_adaptive(WantFn&& want_of, int tid) {
-    if (single_mode_) {
-      return single_.take_adaptive(static_cast<WantFn&&>(want_of), tid);
-    }
-    if (poisoned_.load(std::memory_order_relaxed)) return {count_, count_};
-    AID_CHECK(tid >= 0 && tid < nthreads_);
-    const int home = home_shard(tid);
-    for (int k = 0; k < nshards_; ++k) {
-      const int s = (home + k) % nshards_;
-      const int hint = hint_of(s).load(std::memory_order_relaxed);
-      for (int j = 0; j < kSegsPerShard; ++j) {
-        int i = hint + j;
-        if (i >= kSegsPerShard) i -= kSegsPerShard;
-        std::atomic<u64>& word = seg(s, i);
-        u64 w = word.load(std::memory_order_acquire);
-        for (;;) {
-          const i64 n = unpack_next(w);
-          const i64 e = unpack_end(w);
-          if (n >= e) break;
-          i64 want = want_of(e - n);
-          AID_DCHECK(want >= 1);
-          const i64 stop = n + want < e ? n + want : e;
-          if (word.compare_exchange_weak(w, pack(stop, e),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-            if (j != 0) hint_of(s).store(i, std::memory_order_relaxed);
-            note_removal(tid, /*local=*/k == 0);
-            return {n, stop};
-          }
-        }
-      }
-    }
-    return {count_, count_};
   }
 
   /// Cancellation poison. Sharded mode uses a FLAG rather than draining

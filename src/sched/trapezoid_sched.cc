@@ -8,9 +8,8 @@ namespace aid::sched {
 
 TrapezoidScheduler::TrapezoidScheduler(i64 count,
                                        const platform::TeamLayout& layout,
-                                       i64 first_chunk, i64 last_chunk,
-                                       ShardTopology topo)
-    : pool_(std::move(topo), layout.nthreads()),
+                                       i64 first_chunk, i64 last_chunk)
+    : pool_(layout.nthreads()),
       nthreads_(layout.nthreads()),
       requested_first_(first_chunk),
       requested_last_(last_chunk) {
@@ -71,9 +70,7 @@ void TrapezoidScheduler::reset(i64 count) {
 
 SchedulerStats TrapezoidScheduler::stats() const {
   return {.pool_removals = pool_.removals(),
-          .local_removals = pool_.local_removals(),
-          .steal_removals = pool_.remote_removals(),
-          .shard_rebalances = pool_.rebalances()};
+          .local_removals = pool_.removals()};
 }
 
 }  // namespace aid::sched

@@ -5,26 +5,23 @@
 // Like guided, TSS is asymmetry-unaware: chunk k has the same size no
 // matter which core takes it, so a small core drawing an early (large)
 // chunk can still strand the loop. Included as a comparison point for the
-// ablation bench (bench_ablation_schedulers).
+// ablation bench (bench_ablation_schedulers). Runs on one shared work
+// share, as guided does.
 #pragma once
 
 #include <atomic>
 
 #include "sched/loop_scheduler.h"
-#include "sched/sharded_work_share.h"
+#include "sched/work_share.h"
 
 namespace aid::sched {
 
 class TrapezoidScheduler final : public LoopScheduler {
  public:
   /// first/last chunk sizes; 0 picks the classic defaults
-  /// first = ceil(NI / (2T)), last = 1. Under a sharded topology the chunk
-  /// *size* sequence stays global (one shared chunk index — TSS's linear
-  /// decrement is inherently a global schedule) while the iterations
-  /// themselves come from the taker's home shard.
+  /// first = ceil(NI / (2T)), last = 1.
   TrapezoidScheduler(i64 count, const platform::TeamLayout& layout,
-                     i64 first_chunk = 0, i64 last_chunk = 0,
-                     ShardTopology topo = {});
+                     i64 first_chunk = 0, i64 last_chunk = 0);
 
   bool next(ThreadContext& tc, IterRange& out) override;
   void reset(i64 count) override;
@@ -43,7 +40,7 @@ class TrapezoidScheduler final : public LoopScheduler {
  private:
   void configure(i64 count);
 
-  ShardedWorkShare pool_;
+  WorkShare pool_;
   std::atomic<i64> chunk_index_{0};
   i64 first_ = 1;
   i64 last_ = 1;

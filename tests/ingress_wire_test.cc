@@ -156,10 +156,16 @@ TEST(IngressWire, OversizedLengthIsBadBeforePayloadArrives) {
 }
 
 TEST(IngressWire, UnknownFrameTypeIsBad) {
-  std::vector<u8> bytes = encode(Frame{CreditFrame{1}});
-  bytes[4] = 0xEE;  // not a FrameType
-  const Decoded d = decode_frame(bytes.data(), bytes.size());
-  EXPECT_EQ(d.status, DecodeStatus::kBad);
+  // 0xEE was never a FrameType; 9 and 10 are retired (they negotiated a
+  // deleted shared-memory transport) and must stay unknown.
+  for (const u8 type : {u8{0xEE}, u8{9}, u8{10}}) {
+    std::vector<u8> bytes = encode(Frame{CreditFrame{1}});
+    bytes[4] = type;
+    const Decoded d = decode_frame(bytes.data(), bytes.size());
+    EXPECT_EQ(d.status, DecodeStatus::kBad) << "type byte " << int{type};
+    EXPECT_NE(d.error.find("unknown frame type"), std::string::npos)
+        << d.error;
+  }
 }
 
 TEST(IngressWire, TrailingBytesAreBad) {

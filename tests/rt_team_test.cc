@@ -3,8 +3,11 @@
 // absolute timing — the CI host is small and oversubscribed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/env.h"
@@ -126,6 +129,39 @@ TEST(Team, ManyConsecutiveLoopsReuseWorkers) {
                   });
   }
   EXPECT_EQ(total.load(), 200 * 64);
+}
+
+TEST(Team, GuidedChunksFollowTheWholeLoopRemainder) {
+  // libgomp's guided on real threads: one work share, so each chunk is
+  // max(c, remaining / T) of the WHOLE loop at the moment it is taken —
+  // on an AMP too, where a per-core-type pool would size it by its own
+  // shard's remainder instead. Taken in start order from one cursor, the
+  // chunks sorted by start therefore follow the formula exactly, whatever
+  // the interleaving was.
+  Team team(small_amp(), 4, Mapping::kBigFirst, false);  // 2 big + 2 small
+  ASSERT_FALSE(team.layout().is_uniform());
+  constexpr i64 kCount = 20'000;
+  for (const i64 c : {i64{1}, i64{16}, i64{300}}) {
+    for (int rep = 0; rep < 5; ++rep) {
+      std::mutex mu;
+      std::vector<std::pair<i64, i64>> chunks;
+      team.run_loop(kCount, ScheduleSpec::guided(c),
+                    [&](i64 b, i64 e, const WorkerInfo&) {
+                      const std::scoped_lock lock(mu);
+                      chunks.emplace_back(b, e);
+                    });
+      std::sort(chunks.begin(), chunks.end());
+      i64 next = 0;
+      for (const auto& [b, e] : chunks) {
+        ASSERT_EQ(b, next) << "guided(" << c << ") chunks must tile the loop";
+        const i64 rem = kCount - b;
+        EXPECT_EQ(e - b, std::min(rem, std::max(c, rem / 4)))
+            << "guided(" << c << ") chunk at " << b;
+        next = e;
+      }
+      EXPECT_EQ(next, kCount);
+    }
+  }
 }
 
 TEST(Team, LastLoopStatsExposed) {

@@ -307,21 +307,22 @@ TEST(ShardTopology, ForSchedulePicksTheLayoutByKind) {
   const ScheduleKind per_thread[] = {ScheduleKind::kDynamic,
                                      ScheduleKind::kAidStatic,
                                      ScheduleKind::kAidHybrid};
-  const ScheduleKind per_core_type[] = {ScheduleKind::kGuided,
-                                        ScheduleKind::kTrapezoid,
-                                        ScheduleKind::kWeightedFactoring};
+  // No pool (static), or libgomp's single work share (the related-work
+  // baselines size chunks from the whole loop's remainder).
+  const ScheduleKind single[] = {ScheduleKind::kStatic, ScheduleKind::kGuided,
+                                 ScheduleKind::kTrapezoid,
+                                 ScheduleKind::kWeightedFactoring};
   for (const platform::TeamLayout& layout : layouts) {
     SCOPED_TRACE(layout.describe());
-    EXPECT_EQ(ShardTopology::for_schedule(ScheduleKind::kStatic, layout)
-                  .nshards(),
-              1);
+    for (const ScheduleKind kind : single) {
+      SCOPED_TRACE(to_string(kind));
+      const ShardTopology topo = ShardTopology::for_schedule(kind, layout);
+      EXPECT_EQ(topo.nshards(), 1);
+      EXPECT_TRUE(topo.home_of_tid.empty());
+    }
     for (const ScheduleKind kind : per_thread) {
       SCOPED_TRACE(to_string(kind));
       expect_per_thread(ShardTopology::for_schedule(kind, layout), layout);
-    }
-    for (const ScheduleKind kind : per_core_type) {
-      SCOPED_TRACE(to_string(kind));
-      expect_per_core_type(ShardTopology::for_schedule(kind, layout), layout);
     }
     // aid-dynamic: a uniform team would get one shared cursor per core
     // type, so it gets one shard per thread; an AMP keeps one per type.
@@ -339,11 +340,11 @@ TEST(ShardTopology, ForSchedulePicksTheLayoutByKind) {
   EXPECT_TRUE(layouts[2].is_uniform());
 }
 
-// The randomized concurrent harness: real threads drain one pool (their
-// `take` mixes plain and adaptive removals) until every take comes back
-// empty, so the steal path's bulk migrations race the takes. Returns each
-// thread's ranges after checking that every iteration was delivered
-// exactly once and that every range was one accounted removal.
+// The randomized concurrent harness: real threads drain one pool with
+// randomly sized takes until every take comes back empty, so the steal
+// path's bulk migrations race the takes. Returns each thread's ranges
+// after checking that every iteration was delivered exactly once and
+// that every range was one accounted removal.
 template <typename TakeFn>
 std::vector<std::vector<IterRange>> drain_exactly_once(ShardedWorkShare& pool,
                                                        int nthreads,
@@ -397,15 +398,7 @@ std::vector<std::vector<IterRange>> drain_exactly_once(ShardedWorkShare& pool,
 
 IterRange random_take(ShardedWorkShare& pool, int tid,
                       std::mt19937_64& local) {
-  if (local() % 2 == 0)
-    return pool.take(1 + static_cast<i64>(local() % 8), tid);
-  return pool.take_adaptive(
-      [&local](i64 remaining) {
-        const i64 cap = 1 + static_cast<i64>(local() % 16);
-        const i64 want = remaining / 7 + 1;
-        return want < cap ? want : cap;
-      },
-      tid);
+  return pool.take(1 + static_cast<i64>(local() % 8), tid);
 }
 
 TEST(ShardedWorkShareStress, ExactlyOnceUnderSteals) {

@@ -25,7 +25,7 @@ int usage(const char* argv0) {
                "usage: %s --socket PATH --workload NAME [--count N] "
                "[--qos latency|normal|batch] [--deadline-ms N]\n"
                "       [--schedule SPEC] [--chunk N] [--jobs N] "
-               "[--name TENANT] [--transport socket|shm]\n"
+               "[--name TENANT]\n"
                "       %s --list\n",
                argv0, argv0);
   return 2;
@@ -71,7 +71,6 @@ int main(int argc, char** argv) {
   std::string socket_path;
   std::string tenant = "aid_submit";
   ingress::IngressClient::Request req;
-  auto transport = ingress::IngressClient::Transport::kSocket;
   int jobs = 1;
 
   for (int i = 1; i < argc; ++i) {
@@ -109,16 +108,6 @@ int main(int argc, char** argv) {
       jobs = std::max(1, std::atoi(v));
     } else if (arg == "--name") {
       tenant = v;
-    } else if (arg == "--transport") {
-      const std::string_view t = v;
-      if (t == "socket") {
-        transport = ingress::IngressClient::Transport::kSocket;
-      } else if (t == "shm") {
-        transport = ingress::IngressClient::Transport::kShm;
-      } else {
-        std::fprintf(stderr, "aid_submit: unknown transport '%s'\n", v);
-        return 2;
-      }
     } else {
       return usage(argv[0]);
     }
@@ -126,8 +115,7 @@ int main(int argc, char** argv) {
   if (socket_path.empty() || req.workload.empty()) return usage(argv[0]);
 
   std::string error;
-  auto client =
-      ingress::IngressClient::connect(socket_path, tenant, &error, transport);
+  auto client = ingress::IngressClient::connect(socket_path, tenant, &error);
   if (!client) {
     std::fprintf(stderr, "aid_submit: %s\n", error.c_str());
     return 2;

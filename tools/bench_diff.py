@@ -218,7 +218,7 @@ def main():
         help="absolute floor for gating: a latency series whose baseline "
              "median is below NS (or non-positive) is reported but never "
              "gates — percentage deltas against near-zero or negative "
-             "baselines (signed overhead metrics like shm_overhead_ns) "
+             "baselines (signed overhead metrics like ingress_overhead_ns) "
              "are noise, not signal")
     parser.add_argument(
         "--exempt", action="append", default=[], metavar="LIST",

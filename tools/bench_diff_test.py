@@ -110,11 +110,11 @@ def main():
         # never trips the gate, while a same-file real regression still
         # does. A negative baseline never gates even without the floor.
         tiny_base = base + [
-            record("ingress=shm/count=1024", "shm_overhead_ns", 400.0),
+            record("ingress=sock/count=1024", "ingress_overhead_ns", 400.0),
             record("ingress=sock/count=65536", "ingress_overhead_ns", -900.0),
         ]
         tiny_cur = base + [
-            record("ingress=shm/count=1024", "shm_overhead_ns", 1800.0),
+            record("ingress=sock/count=1024", "ingress_overhead_ns", 1800.0),
             record("ingress=sock/count=65536", "ingress_overhead_ns", 2500.0),
         ]
         rc, out = run_diff(tmp, tiny_base, tiny_cur,
@@ -125,7 +125,8 @@ def main():
         expect("non-positive base" in out,
                "negative baseline is reported, not skipped", out)
         real = [record("threads=4/count=256", "fork_ns", 2500.0),
-                record("ingress=shm/count=1024", "shm_overhead_ns", 1800.0)]
+                record("ingress=sock/count=1024", "ingress_overhead_ns",
+                       1800.0)]
         rc, out = run_diff(tmp, tiny_base, real,
                            ("--fail-above", "10", "--min-abs-ns", "500"))
         expect(rc == 1, "real regression above the floor still gates "
