@@ -36,11 +36,10 @@
 //
 // shard=single is the classic one-line WorkShare, shard=sharded the
 // per-core-type ShardedWorkShare, shard=fallback1 the ShardedWorkShare
-// over a one-shard topology (the path uniform layouts take: it must stay
-// within noise of single). NOTE on 1-CPU hosts: all threads share one
-// L1, so the cross-cluster coherence cost the sharding removes is
-// invisible in take_ns there — the locality story shows in
-// local_share_pct; take_ns separation needs a real multicore.
+// over a one-shard topology (the path one-thread teams take: it must stay
+// within noise of single). The committed 4-CPU capture reads take_ns
+// single 117 / sharded 49 / fallback1 108 at threads=2 and 141 / 144 /
+// 138 at threads=4, with sharded's local_share_pct at 99.8.
 //
 // Tunables: AID_BENCH_FORKJOIN_RUNS (samples/config, default 300),
 // AID_BENCH_FORKJOIN_MAXTHREADS (default 16, capped sweep 1,2,4,8,16).

@@ -34,7 +34,7 @@ inline harness::ExperimentParams params_for(
 
 /// The paper's 21 benchmarks only: the figure/table reproduction drivers
 /// must keep matching the paper even as the registry grows (the DataPar
-/// suite is measured by bench_kernel_suite, not by the figure benches).
+/// suite is timed end to end by bench/e2e, not by the figure benches).
 inline std::vector<const workloads::Workload*> all_apps() {
   std::vector<const workloads::Workload*> apps;
   for (const auto& w : workloads::all_workloads())
@@ -149,8 +149,13 @@ class BenchJsonWriter {
   void flush() {
     const std::string dir = env::get_string("AID_BENCH_JSON_DIR", ".");
     if (dir == "-" || records_.empty()) return;
-    std::ofstream out(dir + "/BENCH_" + bench_name_ + ".json");
-    if (!out) return;
+    const std::string path = dir + "/BENCH_" + bench_name_ + ".json";
+    std::ofstream out(path);
+    if (!out) {
+      // Say why the file is absent: bench_diff's gate fails closed on it.
+      std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+      return;
+    }
     out << "[\n";
     // Provenance first: one record whose "snapshot" field holds the
     // host/environment capture. Readers that predate snapshots skip it

@@ -1,7 +1,7 @@
 // System/environment snapshot embedded in every bench artifact.
 //
-// A perf number without its provenance is noise: the suite runner, the
-// micro benches, and the committed baselines all embed the same snapshot so
+// A perf number without its provenance is noise: the bench binaries and
+// the committed baselines all embed the same snapshot so
 // bench_diff can refuse to gate a laptop result against a CI baseline. The
 // `host_id` field is the key — a short stable hash of the hardware-visible
 // fields (cpu model, core count, governor), so "same runner class" is one

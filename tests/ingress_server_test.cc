@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ingress/ingress_client.h"
@@ -693,21 +694,33 @@ TEST(IngressClientTest, ZeroCreditGrantFailsHandshakeInsteadOfHanging) {
 
 // ------------------------------------------------------- out of process
 
-TEST(IngressServerTest, EndToEndOutOfProcessToolsRoundTrip) {
-  const char* node_bin = std::getenv("AID_NODE_BIN");
-  const char* submit_bin = std::getenv("AID_SUBMIT_BIN");
-  if (node_bin == nullptr || submit_bin == nullptr)
-    GTEST_SKIP() << "AID_NODE_BIN / AID_SUBMIT_BIN not set (run via ctest)";
+/// Runs `cmd` through the shell: (exit status, stdout + stderr).
+std::pair<int, std::string> run_command(const std::string& cmd) {
+  FILE* out = ::popen((cmd + " 2>&1").c_str(), "r");
+  if (out == nullptr) return {-1, "popen failed"};
+  std::string output;
+  char buf[512];
+  while (std::fgets(buf, sizeof buf, out) != nullptr) output += buf;
+  const int rc = ::pclose(out);
+  return {WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, output};
+}
 
-  const std::string sock = test_socket_path("e2e");
+/// An aid_node child process; it serves until `stdin_fd` is closed.
+struct NodeProcess {
+  pid_t pid = -1;
+  int stdin_fd = -1;
+  int stdout_fd = -1;  ///< kept open until the node exits: no SIGPIPE
+  std::string ready;   ///< its first stdout line, "READY <socket>"
+};
+
+NodeProcess start_node(const char* node_bin, const std::string& sock) {
   int to_child[2];    // our write end keeps the node alive
   int from_child[2];  // the node's READY line
-  ASSERT_EQ(::pipe(to_child), 0);
-  ASSERT_EQ(::pipe(from_child), 0);
-
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
+  NodeProcess node;
+  if (::pipe(to_child) != 0) return node;
+  if (::pipe(from_child) != 0) return node;
+  node.pid = ::fork();
+  if (node.pid == 0) {
     ::dup2(to_child[0], STDIN_FILENO);
     ::dup2(from_child[1], STDOUT_FILENO);
     ::close(to_child[0]);
@@ -721,24 +734,40 @@ TEST(IngressServerTest, EndToEndOutOfProcessToolsRoundTrip) {
   }
   ::close(to_child[0]);
   ::close(from_child[1]);
-
-  // Wait for "READY <socket>\n" from the node.
-  std::string ready;
+  node.stdin_fd = to_child[1];
+  node.stdout_fd = from_child[0];
   char ch = 0;
-  while (ready.find('\n') == std::string::npos &&
+  while (node.ready.find('\n') == std::string::npos &&
          ::read(from_child[0], &ch, 1) == 1)
-    ready.push_back(ch);
-  ASSERT_NE(ready.find("READY"), std::string::npos) << ready;
+    node.ready.push_back(ch);
+  return node;
+}
 
-  const std::string cmd = std::string(submit_bin) + " --socket " + sock +
-                          " --workload EP --count 4096 --jobs 2 2>&1";
-  FILE* out = ::popen(cmd.c_str(), "r");
-  ASSERT_NE(out, nullptr);
-  std::string output;
-  char buf[512];
-  while (std::fgets(buf, sizeof buf, out) != nullptr) output += buf;
-  const int rc = ::pclose(out);
-  EXPECT_EQ(WEXITSTATUS(rc), 0) << output;
+/// EOF on the node's stdin: clean shutdown. Returns its exit status.
+int stop_node(NodeProcess& node) {
+  ::close(node.stdin_fd);
+  int status = 0;
+  const bool reaped =
+      node.pid > 0 && ::waitpid(node.pid, &status, 0) == node.pid;
+  ::close(node.stdout_fd);
+  return reaped && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(IngressServerTest, EndToEndOutOfProcessToolsRoundTrip) {
+  const char* node_bin = std::getenv("AID_NODE_BIN");
+  const char* submit_bin = std::getenv("AID_SUBMIT_BIN");
+  if (node_bin == nullptr || submit_bin == nullptr)
+    GTEST_SKIP() << "AID_NODE_BIN / AID_SUBMIT_BIN not set (run via ctest)";
+
+  const std::string sock = test_socket_path("e2e");
+  NodeProcess node = start_node(node_bin, sock);
+  ASSERT_GT(node.pid, 0);
+  ASSERT_NE(node.ready.find("READY"), std::string::npos) << node.ready;
+
+  const auto [rc, output] =
+      run_command(std::string(submit_bin) + " --socket " + sock +
+                  " --workload EP --count 4096 --jobs 2");
+  EXPECT_EQ(rc, 0) << output;
   // Two JSON lines, both COMPLETED(done), with the serial checksum.
   EXPECT_NE(output.find("\"job\":1"), std::string::npos) << output;
   EXPECT_NE(output.find("\"status\":\"done\""), std::string::npos) << output;
@@ -748,11 +777,46 @@ TEST(IngressServerTest, EndToEndOutOfProcessToolsRoundTrip) {
   EXPECT_NE(output.find(expect), std::string::npos)
       << output << "\nwanted " << expect;
 
-  ::close(to_child[1]);  // EOF on the node's stdin: clean shutdown
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  ::close(from_child[0]);
+  EXPECT_EQ(stop_node(node), 0);
+  ::unlink(sock.c_str());
+}
+
+TEST(IngressServerTest, OutOfProcessToolsRejectMalformedNumbers) {
+  const char* node_bin = std::getenv("AID_NODE_BIN");
+  const char* submit_bin = std::getenv("AID_SUBMIT_BIN");
+  if (node_bin == nullptr || submit_bin == nullptr)
+    GTEST_SKIP() << "AID_NODE_BIN / AID_SUBMIT_BIN not set (run via ctest)";
+
+  // A bad window is refused before the node binds: exit 2, no READY.
+  const std::string unbound = test_socket_path("badcredits");
+  const auto [node_rc, node_out] =
+      run_command(std::string(node_bin) + " --socket " + unbound +
+                  " --credits abc </dev/null");
+  EXPECT_EQ(node_rc, 2) << node_out;
+  EXPECT_EQ(node_out.find("READY"), std::string::npos) << node_out;
+  EXPECT_NE(node_out.find("--credits"), std::string::npos) << node_out;
+  ::unlink(unbound.c_str());
+
+  // With a live node to reach, a bad number must still stop aid_submit
+  // before it sends anything: not a job of count 0, not a deadline whose
+  // nanoseconds overflow into a negative one.
+  const std::string sock = test_socket_path("badflags");
+  NodeProcess node = start_node(node_bin, sock);
+  ASSERT_GT(node.pid, 0);
+  ASSERT_NE(node.ready.find("READY"), std::string::npos) << node.ready;
+  const std::pair<const char*, const char*> cases[] = {
+      {"--count", "--count abc"},
+      {"--deadline-ms", "--count 4096 --deadline-ms 10000000000000"},
+  };
+  for (const auto& [flag, args] : cases) {
+    const auto [rc, output] =
+        run_command(std::string(submit_bin) + " --socket " + sock +
+                    " --workload EP " + args);
+    EXPECT_EQ(rc, 2) << args << '\n' << output;
+    EXPECT_EQ(output.find("\"job\""), std::string::npos) << output;
+    EXPECT_NE(output.find(flag), std::string::npos) << output;
+  }
+  EXPECT_EQ(stop_node(node), 0);
   ::unlink(sock.c_str());
 }
 

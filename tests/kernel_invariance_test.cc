@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "rt/team.h"
 #include "workloads/workload.h"
@@ -56,10 +57,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The DataPar kernels also sweep the shard dimension, which a Team picks
 // from the schedule kind and the layout (ShardTopology::for_schedule):
-// dynamic and aid-static arm one shard per thread on both teams;
+// dynamic and aid-static arm one shard per thread on every team, and
+// dynamic(16) puts the pool's grain-16 seams between those shards;
 // aid-dynamic arms one per thread on the symmetric team and one per core
-// type on the 2-type AMP; guided arms the single-shard pool on the
-// symmetric team and the two-shard one on the AMP. The whole-suite ×
+// type on the AMPs, which on the 1+1 two-thread team is again one per
+// thread; guided holds a plain WorkShare on every team. The whole-suite ×
 // pool-mode coverage comes from the CI legs running this binary plainly
 // and under AID_POOL=1.
 TEST(DataParShardInvariance, SameChecksumUnderShardSettings) {
@@ -69,6 +71,7 @@ TEST(DataParShardInvariance, SameChecksumUnderShardSettings) {
   const sched::ScheduleSpec specs[] = {
       sched::ScheduleSpec::static_even(),
       sched::ScheduleSpec::dynamic(1),
+      sched::ScheduleSpec::dynamic(16),
       sched::ScheduleSpec::aid_static(1),
       sched::ScheduleSpec::aid_dynamic(1, 5),
       sched::ScheduleSpec::guided(1),
@@ -79,10 +82,12 @@ TEST(DataParShardInvariance, SameChecksumUnderShardSettings) {
         serial, sched::ScheduleSpec::static_even(), kScale);
     ASSERT_TRUE(std::isfinite(reference)) << workload->name();
     const double tol = 1e-6 * std::max(1.0, std::fabs(reference));
-    // Uniform and big + small layouts.
-    for (const auto& plat :
-         {platform::symmetric(4), platform::generic_amp(2, 2, 2.0)}) {
-      rt::Team team(plat, 4, platform::Mapping::kBigFirst,
+    // Uniform, 2 + 2 and 1 + 1 layouts.
+    for (const auto& [plat, nthreads] :
+         {std::pair{platform::symmetric(4), 4},
+          std::pair{platform::generic_amp(2, 2, 2.0), 4},
+          std::pair{platform::generic_amp(1, 1, 2.0), 2}}) {
+      rt::Team team(plat, nthreads, platform::Mapping::kBigFirst,
                     /*emulate_amp=*/false);
       for (const auto& spec : specs) {
         EXPECT_NEAR(workload->run_kernel(team, spec, kScale), reference, tol)

@@ -17,10 +17,11 @@
 //  * BackToBackLoopsCoverExactlyOnce binds 1, 2, 4 and 8 big-first threads
 //    on a 4+4 AMP. At 2 and 4 threads the team sits on the big cores only,
 //    so it is uniform: dynamic, aid-static, aid-hybrid and aid-dynamic run
-//    one shard per thread, and guided, trapezoid and weighted factoring the
-//    single pool. At 8 threads the team spans both core types: aid-dynamic
-//    and the remainder-sized kinds run one shard per core type, the rest
-//    one per thread. One thread always runs the single pool.
+//    one shard per thread. At 8 threads the team spans both core types:
+//    aid-dynamic runs one shard per core type, dynamic, aid-static and
+//    aid-hybrid one per thread. Guided, trapezoid and weighted factoring
+//    hold a plain WorkShare at every thread count, and one thread always
+//    runs the single pool.
 //  * DynamicRemovalCountIsExactOnEveryTopology runs dynamic on 8 per-thread
 //    shards, on a symmetric platform and on the AMP.
 #include <gtest/gtest.h>

@@ -175,9 +175,9 @@ ShardTopology two_shard_topo(int nthreads) {
 }
 
 TEST(ShardedWorkShare, SingleShardFallbackMatchesWorkShare) {
-  // A one-shard topology (what uniform layouts get) must be bit-for-bit
-  // the classic pool: same ranges, same removal counts, same drain
-  // behavior.
+  // A one-shard topology (what one-thread teams and the simulator get)
+  // must be bit-for-bit the classic pool: same ranges, same removal
+  // counts, same drain behavior.
   WorkShare classic(4);
   ShardedWorkShare sharded(ShardTopology{}, 4);
   classic.reset(103);
@@ -258,8 +258,9 @@ TEST(ShardedWorkShare, OversizedLoopFallsBackToSinglePool) {
 
 // ShardTopology::for_schedule is the one place the runtime picks a pool's
 // shard layout: per thread for the fixed-chunk kinds, and for aid-dynamic
-// on a uniform team; per core type for aid-dynamic on an AMP and for the
-// remainder-sized kinds; nothing to shard for static or a one-thread team.
+// on a uniform team; per core type for aid-dynamic on an AMP; nothing to
+// shard for static, for the remainder-sized kinds (they hold a plain
+// WorkShare) or for a one-thread team.
 void expect_per_thread(const ShardTopology& topo,
                        const platform::TeamLayout& layout) {
   const int n = layout.nthreads();

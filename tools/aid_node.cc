@@ -12,9 +12,12 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 
+#include "common/env.h"
 #include "ingress/ingress_server.h"
 #include "platform/platform.h"
 #include "serve/serve_node.h"
@@ -29,6 +32,18 @@ int usage(const char* argv0) {
                "generic:S,B,SPEED (default: symmetric over the host cores)\n",
                argv0);
   return 2;
+}
+
+/// `text` as an integer in [1, INT_MAX], or nullopt after naming `flag`
+/// on stderr: a typo must not start a node with a silently different
+/// setting.
+std::optional<int> positive_int_flag(std::string_view flag, const char* text) {
+  const std::optional<aid::i64> v = aid::env::parse_int(text);
+  if (v && *v >= 1 && *v <= std::numeric_limits<int>::max())
+    return static_cast<int>(*v);
+  std::fprintf(stderr, "aid_node: bad %.*s '%s' (want a positive integer)\n",
+               static_cast<int>(flag.size()), flag.data(), text);
+  return std::nullopt;
 }
 
 }  // namespace
@@ -53,11 +68,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--credits") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
-      credits = static_cast<u32>(std::max(1, std::atoi(v)));
+      const auto n = positive_int_flag(arg, v);
+      if (!n) return 2;
+      credits = static_cast<u32>(*n);
     } else if (arg == "--dispatchers") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
-      dispatchers = std::atoi(v);
+      const auto n = positive_int_flag(arg, v);
+      if (!n) return 2;
+      dispatchers = *n;
     } else if (arg == "--platform") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);

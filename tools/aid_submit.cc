@@ -9,9 +9,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "ingress/ingress_client.h"
 #include "workloads/serve_kernel.h"
 #include "workloads/workload.h"
@@ -29,6 +32,19 @@ int usage(const char* argv0) {
                "       %s --list\n",
                argv0, argv0);
   return 2;
+}
+
+/// `text` as an integer in [lo, hi], or nullopt after naming `flag` on
+/// stderr: a typo must not reach the wire as 0, nor a huge deadline as a
+/// wrapped negative one.
+std::optional<i64> int_flag(std::string_view flag, const char* text, i64 lo,
+                            i64 hi) {
+  const std::optional<i64> v = env::parse_int(text);
+  if (v && *v >= lo && *v <= hi) return v;
+  std::fprintf(stderr, "aid_submit: bad %.*s '%s' (want an integer in "
+               "[%lld, %lld])\n", static_cast<int>(flag.size()), flag.data(),
+               text, static_cast<long long>(lo), static_cast<long long>(hi));
+  return std::nullopt;
 }
 
 /// Minimal JSON string escaping for the few fields we echo back.
@@ -72,6 +88,7 @@ int main(int argc, char** argv) {
   std::string tenant = "aid_submit";
   ingress::IngressClient::Request req;
   int jobs = 1;
+  constexpr i64 kMaxI64 = std::numeric_limits<i64>::max();
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -86,14 +103,18 @@ int main(int argc, char** argv) {
     } else if (arg == "--workload") {
       req.workload = v;
     } else if (arg == "--count") {
-      req.count = std::atoll(v);
+      const auto n = int_flag(arg, v, 1, workloads::kMaxServeCount);
+      if (!n) return 2;
+      req.count = *n;
     } else if (arg == "--qos") {
       if (!serve::parse_qos(v, req.qos)) {
         std::fprintf(stderr, "aid_submit: unknown qos '%s'\n", v);
         return 2;
       }
     } else if (arg == "--deadline-ms") {
-      req.deadline_ns = std::atoll(v) * 1'000'000;
+      const auto ms = int_flag(arg, v, 0, kMaxI64 / 1'000'000);
+      if (!ms) return 2;
+      req.deadline_ns = *ms * 1'000'000;
     } else if (arg == "--schedule") {
       const auto spec = sched::parse_schedule(v);
       if (!spec) {
@@ -103,9 +124,13 @@ int main(int argc, char** argv) {
       req.sched = spec->kind;
       if (req.chunk == 0) req.chunk = spec->chunk;
     } else if (arg == "--chunk") {
-      req.chunk = std::atoll(v);
+      const auto n = int_flag(arg, v, 0, kMaxI64);
+      if (!n) return 2;
+      req.chunk = *n;
     } else if (arg == "--jobs") {
-      jobs = std::max(1, std::atoi(v));
+      const auto n = int_flag(arg, v, 1, std::numeric_limits<int>::max());
+      if (!n) return 2;
+      jobs = static_cast<int>(*n);
     } else if (arg == "--name") {
       tenant = v;
     } else {

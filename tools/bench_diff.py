@@ -46,15 +46,14 @@ Baselines are keyed by *runner class*: bench files carry a snapshot
 record (bench_util.h / harness/sysinfo.h) whose host_id hashes the
 hardware-visible identity (cpu model, core count, governor). When the
 baseline's host_id and the current file's host_id are both known and
-differ — a laptop sweep diffed against a CI baseline, or vice versa —
+differ — a laptop capture diffed against a CI baseline, or vice versa —
 gating demotes to report-only: the deltas print, but --strict and
 --fail-above never fail the run. Files without a snapshot (pre-snapshot
 baselines) gate as before.
 
-Both sides may also be aid_sweep aggregate CSVs (*.csv): rows become
-(config, metric) series keyed the same way as the suite JSON, and the
-'# snapshot: {...}' header comment supplies the host_id, so a fresh
-sweep can be diffed against a committed sweep or a raw per-run JSON.
+A missing file skips the comparison with exit 0, with one exception: under
+--strict or --fail-above a missing *current* file exits 1, so a gate whose
+bench wrote nothing cannot pass without measuring anything.
 """
 
 import argparse
@@ -69,14 +68,11 @@ COUNTER_METRICS = ("local_share_pct", "rebalances_per_run")
 
 def load(path):
     """Return ({(config, metric): record}, snapshot_or_None) for one
-    bench artifact — a BENCH_*.json file or an aid_sweep aggregate CSV
-    (picked by extension).
+    BENCH_*.json file.
 
     Malformed records (missing config/metric/median — e.g. a truncated
     write from an interrupted bench run) are skipped with a warning
     instead of raising a KeyError later in the report."""
-    if path.endswith(".csv"):
-        return load_csv(path)
     with open(path, encoding="utf-8") as f:
         records = json.load(f)
     table = {}
@@ -93,52 +89,6 @@ def load(path):
         table[(r["config"], r["metric"])] = r
     if skipped:
         print(f"bench_diff: warning — {skipped} malformed record(s) "
-              f"skipped in {path}")
-    return table, snapshot
-
-
-def load_csv(path):
-    """Parse an aid_sweep aggregate CSV into the same (table, snapshot)
-    shape as the JSON loader. Rows key as config
-    "kernel=<k>/threads=<t>/sched=<s>" — identical to the suite JSON's
-    config strings, so CSV-vs-JSON diffs line up."""
-    table = {}
-    snapshot = None
-    skipped = 0
-    header = None
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comment = line.lstrip("#").strip()
-                if comment.startswith("snapshot:"):
-                    try:
-                        snapshot = json.loads(
-                            comment[len("snapshot:"):].strip())
-                    except ValueError:
-                        print(f"bench_diff: warning — unparsable snapshot "
-                              f"comment in {path}")
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            fields = dict(zip(header, line.split(",")))
-            try:
-                config = (f"kernel={fields['kernel']}"
-                          f"/threads={fields['threads']}"
-                          f"/sched={fields['sched']}")
-                record = {"config": config, "metric": fields["metric"],
-                          "median": float(fields["median_ns"]),
-                          "p95": float(fields["p95_ns"]),
-                          "runs": int(fields["runs"])}
-            except (KeyError, ValueError):
-                skipped += 1
-                continue
-            table[(config, record["metric"])] = record
-    if skipped:
-        print(f"bench_diff: warning — {skipped} malformed row(s) "
               f"skipped in {path}")
     return table, snapshot
 
@@ -245,9 +195,14 @@ def main():
             else:
                 exemptions[item] = None
 
-    for path, what in ((args.baseline, "baseline"), (args.current, "current")):
+    gating_requested = args.fail_above is not None or args.strict
+    for path, what in ((args.current, "current"), (args.baseline, "baseline")):
         if not os.path.exists(path):
             print(f"bench_diff: {what} file not found: {path}")
+            if what == "current" and gating_requested:
+                print("bench_diff: FAIL — gating requested but there is no "
+                      "current file to gate")
+                return 1
             print("bench_diff: nothing to compare — skipping (exit 0)")
             return 0
 
@@ -332,8 +287,8 @@ def main():
     print(f"\nbench_diff: {regressions} regression(s), "
           f"{improvements} improvement(s) beyond ±{args.threshold:.0f}% "
           f"across {len(latency_keys)} latency series")
-    gating = (args.fail_above is not None or args.strict) and not host_demoted
-    if host_demoted and (args.fail_above is not None or args.strict):
+    gating = gating_requested and not host_demoted
+    if host_demoted and gating_requested:
         print(f"bench_diff: report-only ({host_demoted})")
     if gating and family_failures:
         for config, metric, delta, limit in family_failures:

@@ -16,8 +16,9 @@ The contract under test (registered with ctest as bench_diff_test):
      snapshot host_ids differ (or only one side has one) — a wrong-host
      baseline must never hard-fail a run — while matching host_ids keep
      the gate armed.
-  6. aid_sweep aggregate CSVs load as first-class diff inputs, keyed
-     identically to the suite JSON configs, snapshot comment included.
+  6. A gate cannot pass without measuring: under --fail-above or --strict
+     a missing current file exits 1 and names it, while a missing baseline,
+     or a missing file without a gating flag, skips with exit 0.
 
 Usage: bench_diff_test.py [path/to/bench_diff.py]
 """
@@ -46,6 +47,14 @@ def snapshot_record(host_id):
         "env": {}}}
 
 
+def run_paths(base_path, cur_path, extra_args=()):
+    proc = subprocess.run(
+        [sys.executable, BENCH_DIFF, "--baseline", base_path,
+         "--current", cur_path, *extra_args],
+        capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout + proc.stderr
+
+
 def run_diff(tmp, baseline, current, extra_args=()):
     base_path = os.path.join(tmp, "base.json")
     cur_path = os.path.join(tmp, "cur.json")
@@ -53,11 +62,7 @@ def run_diff(tmp, baseline, current, extra_args=()):
         json.dump(baseline, f)
     with open(cur_path, "w", encoding="utf-8") as f:
         json.dump(current, f)
-    proc = subprocess.run(
-        [sys.executable, BENCH_DIFF, "--baseline", base_path,
-         "--current", cur_path, *extra_args],
-        capture_output=True, text=True, check=False)
-    return proc.returncode, proc.stdout + proc.stderr
+    return run_paths(base_path, cur_path, extra_args)
 
 
 def expect(cond, what, output):
@@ -158,31 +163,17 @@ def main():
                            ("--fail-above", "10"))
         expect(rc == 0, "snapshot on only one side demotes gating", out)
 
-        # 7. aid_sweep aggregate CSV as a diff input: configs key exactly
-        # like the suite JSON, the snapshot comment carries host_id, and
-        # a cross-format regression gates when the host class matches.
-        csv_path = os.path.join(tmp, "sweep.csv")
-        snap = snapshot_record("aaaa")["snapshot"]
-        with open(csv_path, "w", encoding="utf-8") as f:
-            f.write(f"# snapshot: {json.dumps(snap)}\n")
-            f.write("kernel,threads,sched,metric,median_ns,p95_ns,"
-                    "stddev_ns,runs,repeats,host_id,git_sha\n")
-            f.write("histogram,4,static,kernel_ns,1000,1200,50,7,5,"
-                    "aaaa,deadbeef\n")
-        cur_json = os.path.join(tmp, "cur_suite.json")
-        with open(cur_json, "w", encoding="utf-8") as f:
-            json.dump([snapshot_record("aaaa"),
-                       record("kernel=histogram/threads=4/sched=static",
-                              "kernel_ns", 2000.0)], f)
-        proc = subprocess.run(
-            [sys.executable, BENCH_DIFF, "--baseline", csv_path,
-             "--current", cur_json, "--fail-above", "10"],
-            capture_output=True, text=True, check=False)
-        out = proc.stdout + proc.stderr
-        expect("kernel=histogram/threads=4/sched=static" in out,
-               "CSV rows key like suite JSON configs", out)
-        expect(proc.returncode == 1,
-               "CSV-vs-JSON regression gates on a matching host class", out)
+        # 7. Fail closed: a gate with no current file to read exits 1.
+        base_path = os.path.join(tmp, "base.json")  # left by run_diff
+        missing = os.path.join(tmp, "missing.json")
+        for gate in (("--fail-above", "25"), ("--strict",)):
+            rc, out = run_paths(base_path, missing, gate)
+            expect(rc == 1 and missing in out,
+                   f"missing current file fails {gate[0]} and is named", out)
+        rc, out = run_paths(base_path, missing)
+        expect(rc == 0, "missing current file without a gate skips", out)
+        rc, out = run_paths(missing, base_path, ("--fail-above", "25"))
+        expect(rc == 0, "missing baseline under a gate skips", out)
 
     print("bench_diff_test: all cases passed")
     return 0
