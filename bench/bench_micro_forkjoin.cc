@@ -25,8 +25,8 @@
 //                    chain-end flush).
 //
 // The `shard=` config family measures the work-share pool itself under a
-// steal-heavy arming (the big cluster's shard holds 1/8 of the space, so
-// its threads drain home fast and then steal / bulk-migrate):
+// steal-heavy arming (the big cores' shards hold 1/8 of the space, so
+// their threads drain home fast and then steal / bulk-migrate):
 //
 //   take_ns          — one take/steal round-trip (per-op, all threads);
 //   local_share_pct  — removals served by the taker's home shard, in %
@@ -35,11 +35,12 @@
 //   rebalances_per_run — contiguous blocks bulk-migrated per drain.
 //
 // shard=single is the classic one-line WorkShare, shard=sharded the
-// per-core-type ShardedWorkShare, shard=fallback1 the ShardedWorkShare
-// over a one-shard topology (the path one-thread teams take: it must stay
-// within noise of single). The committed 4-CPU capture reads take_ns
-// single 117 / sharded 49 / fallback1 108 at threads=2 and 141 / 144 /
-// 138 at threads=4, with sharded's local_share_pct at 99.8.
+// per-thread ShardedWorkShare the runtime arms, shard=fallback1 the
+// ShardedWorkShare over a one-shard topology (the path one-thread teams
+// take: it must stay within noise of single). The committed 4-CPU capture
+// reads take_ns single 117 / sharded 49 / fallback1 108 at threads=2 and
+// 141 / 144 / 138 at threads=4, with sharded's local_share_pct at 99.8;
+// its sharded rows armed one shard per core type, a layout since deleted.
 //
 // Tunables: AID_BENCH_FORKJOIN_RUNS (samples/config, default 300),
 // AID_BENCH_FORKJOIN_MAXTHREADS (default 16, capped sweep 1,2,4,8,16).
@@ -336,11 +337,12 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
       nthreads / 2 > 0 ? nthreads / 2 : 1, 2.0);
   const platform::TeamLayout layout(platform, nthreads,
                                     platform::Mapping::kBigFirst);
-  const sched::ShardTopology topo = sched::ShardTopology::per_core_type(layout);
-  // Steal-heavy arming: invert the capacity split so the faster cluster's
+  const sched::ShardTopology topo = sched::ShardTopology::per_thread(layout);
+  // Steal-heavy arming: invert the capacity split so the big cores'
   // threads drain home early and must steal or bulk-migrate.
   std::vector<double> skew(static_cast<usize>(topo.nshards()), 7.0);
-  if (topo.nshards() > 1) skew.back() = 1.0;
+  for (int tid = 0; tid < topo.nshards(); ++tid)
+    if (layout.core_type_of(tid) > 0) skew[static_cast<usize>(tid)] = 1.0;
 
   const auto label = [&](const char* kind) {
     char config[96];

@@ -83,10 +83,10 @@ int main() {
               static_cast<long long>(kWorkIters),
               static_cast<long long>(dynamic_removals),
               static_cast<long long>(aid_removals));
-  std::printf("(when the host oversubscribes the team, descheduled threads "
-              "delay AID phase closure and the\n waiting threads fall back "
-              "to chunk steals, shrinking the gap; on a dedicated AMP with "
-              "one\n thread per core the reduction approaches the Major-"
-              "chunk factor — see bench_fig08.)\n");
+  std::printf("(AID-dynamic removes M iterations at a time on a small "
+              "core and R·M on a big one until\n only M per thread are "
+              "left, which go out m at a time, so on long loops the "
+              "reduction\n approaches the Major-chunk factor — see "
+              "bench_fig08.)\n");
   return 0;
 }

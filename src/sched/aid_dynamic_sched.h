@@ -1,14 +1,13 @@
 // AID-dynamic (paper Sec. 4.2, Fig. 5) — the asymmetry-aware replacement for
 // OpenMP `dynamic`.
 //
-// Two user chunks: minor m and Major M >= m. Execution alternates between
-// phases where all threads steal m iterations (the initial sampling phase,
-// plus wait windows) and *AID phases* where iterations are removed unevenly
-// in a single pool operation per thread: M per small-core thread, R·M per
-// big-core thread. R is the relative big-over-small progress, continuously
-// re-measured: R starts at the sampled SF and, after every AID phase, is
-// updated with that phase's observed per-type progress rates (the paper's
-// R ← R′·SM smoothing — measuring rates over the previous phase computes
+// Two user chunks: minor m and Major M >= m. Each thread first times an
+// m-iteration sampling chunk and from then on removes round(R_t·M)
+// iterations per pool operation: M per small-core thread, R·M per big-core
+// thread. R_t is the progress of core type t relative to the slowest
+// populated type (R = 1 there). It starts at 1 and is re-measured from the
+// per-type progress rates recorded since the previous recompute (the
+// paper's R ← R′·SM smoothing — measuring rates over a window computes
 // exactly R′·SM, see sf_estimator.h).
 //
 // Endgame optimization (Fig. 5 caption): as soon as the remaining iteration
@@ -16,23 +15,31 @@
 // plain dynamic(m), which removes the end-of-loop imbalance that makes
 // conventional dynamic so chunk-sensitive (paper Sec. 5B / Fig. 8).
 //
-// The design is non-blocking throughout: "waiting" threads steal m-chunks
-// (their count δᵢ is deducted from the next allotment), and a drained pool
-// simply ends the loop for whichever thread observes it — so the scheduler
-// cannot deadlock even when a phase never completes.
+// Where this departs from Fig. 5: there is no phase rendezvous. A thread
+// whose sampling chunk or block ends records it and at once takes its next
+// block with the last published R; nobody waits for its peers, so nobody
+// steals m-chunks in a wait window or carries their count δᵢ into the next
+// allotment. Every N-th record recomputes R. One recompute runs at a time,
+// behind a try-flag (a recorder that finds it taken skips, and its records
+// fall into the next window), and R is published in relaxed atomics. A
+// thread records its sampling chunk alone and then folds kBlocksPerRecord
+// blocks into each record, so a record, one RMW on the estimator's line,
+// is rare. It holds those records back until the first recompute, so the
+// first window is one sampling chunk per thread, as in Fig. 5's sampling
+// phase, and its R is the loop's reported SF. On a uniform team R ≡ 1: a
+// thread reads no clock, records nothing and starts on an M block.
+// src/sched/README.md gives the measured reason for the departure.
 //
-// R shapes the allotments only. The sharded pool (one shard per thread on a
-// uniform team, one per core type on an AMP: ShardTopology::for_schedule) is
-// not re-weighted by it at phase boundaries: a shard that drains early
-// bulk-steals from the others (sharded_work_share.h), and feeding R into
-// the shards a second time measured slower (src/sched/README.md).
+// The design is non-blocking throughout: a drained pool simply ends the
+// loop for whichever thread observes it.
 //
-// A phase is as short as N·M iterations, so its bookkeeping stays on two
-// shared lines: each thread's record() is one RMW on the estimator's record
-// line (sf_estimator.h), and the closer publishes R on the epoch line, which
-// every waiting thread polls anyway. The endgame test reads the caller's
-// home shard first and scans the whole pool only when that shard alone no
-// longer exceeds M·N.
+// R shapes the blocks only. The sharded pool (one shard per thread:
+// ShardTopology::for_schedule) is not re-weighted by it: a shard that
+// drains early bulk-steals from the others (sharded_work_share.h), and
+// feeding R into the shards a second time measured slower
+// (src/sched/README.md). The endgame test reads the caller's home shard
+// first and scans the whole pool only when that shard alone no longer
+// exceeds M·N.
 #pragma once
 
 #include <array>
@@ -48,6 +55,10 @@ namespace aid::sched {
 
 class AidDynamicScheduler final : public LoopScheduler {
  public:
+  /// Blocks a thread folds into one SfEstimator::record after its sampling
+  /// chunk, which it records alone.
+  static constexpr i64 kBlocksPerRecord = 4;
+
   /// `endgame_enabled` gates the Fig. 5 caption optimization; disabling it
   /// exists only for the ablation study.
   AidDynamicScheduler(i64 count, const platform::TeamLayout& layout,
@@ -65,8 +76,8 @@ class AidDynamicScheduler final : public LoopScheduler {
   }
   [[nodiscard]] i64 remaining() const override { return pool_.remaining(); }
 
-  /// Current per-type progress ratios R_t (R of the slowest type == 1);
-  /// exposed for tests. Only stable between phases.
+  /// Current per-type progress ratios R_t (R of the slowest populated type
+  /// == 1); exposed for tests.
   [[nodiscard]] std::vector<double> progress_ratios() const;
 
   [[nodiscard]] bool in_endgame() const {
@@ -74,33 +85,23 @@ class AidDynamicScheduler final : public LoopScheduler {
   }
 
  private:
-  enum class State : u8 {
-    kSampling,   // first call: take the m-sized sampling chunk
-    kHaveBlock,  // executing a timed block (sampling chunk or AID block)
-    kWait,       // between phases: steal m, watch the epoch
-  };
-
   /// Mutated only by its owning thread; stored as Padded<PerThread> so
   /// neighbors never false-share a cache line.
   struct PerThread {
-    State state = State::kSampling;
     Nanos block_start = 0;
-    i64 block_iters = 0;
-    i64 delta = 0;       ///< steals since last allotment (δᵢ)
-    i64 epoch_seen = 0;  ///< last phase epoch this thread joined
+    i64 block_iters = 0;  ///< the timed block in flight; 0: none
+    i64 blocks = 0;       ///< blocks taken, the sampling chunk included
+    Nanos folded_time = 0;  ///< blocks ended since this thread's last record
+    i64 folded_iters = 0;
   };
 
-  /// Last thread of a phase: recompute R from the estimator, start the
-  /// estimator's next phase and publish the next epoch.
-  void close_phase();
+  /// Ends the caller's timed block: folds it into its private sums and
+  /// records them when a record is due.
+  void end_block(const ThreadContext& tc, PerThread& pt);
 
-  /// Try to enter the current phase: take the uneven allotment (or record a
-  /// no-op completion when δᵢ already covers the target). Returns true when
-  /// `out` was filled.
-  bool enter_phase(ThreadContext& tc, PerThread& pt, IterRange& out);
-
-  bool steal_minor(PerThread& pt, const ThreadContext& tc, IterRange& out,
-                   bool count_delta);
+  /// Recompute R from the rates recorded since the previous recompute,
+  /// unless one is running already.
+  void recompute();
 
   /// remaining() <= M·N. The caller's home shard holds a lower bound on
   /// the pool's remainder, so while it alone exceeds M·N the answer is no
@@ -115,28 +116,27 @@ class AidDynamicScheduler final : public LoopScheduler {
   ShardedWorkShare pool_;
   SfEstimator estimator_;
 
-  // Read by every next(); written at most once per construct (endgame_ by
-  // the threads that detect the endgame, reported_sf_ by the first
-  // close_phase()).
+  // Read by every next(); written at most once per construct.
   std::atomic<bool> endgame_{false};
-  double reported_sf_ = 0.0;
 
-  i64 count_;
   const i64 minor_chunk_;
   const i64 major_chunk_;
   const bool endgame_enabled_;
   const int nthreads_;
-  std::vector<int> threads_per_type_;
-  std::vector<double> nominal_speed_;
+  const bool timed_;  ///< the team spans core types; false: R ≡ 1
+  usize fastest_type_ = 0;  ///< the fastest core type with team threads
   std::vector<Padded<PerThread>> per_thread_;
 
-  // Written once per phase by its closing thread, polled by the waiting
-  // ones: R_t per core type shares the epoch's line (for up to 7 types),
-  // so the miss on a new epoch also brings R. close_phase() writes ratio_
-  // before the epoch's release store.
-  alignas(kCacheLineBytes) std::atomic<i64> epoch_{0};  // 0 = sampling
-  std::array<double, kMaxCoreTypes> ratio_{};
-  std::atomic<i64> phases_completed_{0};
+  /// R_t per core type: loaded by every block take, stored by recompute().
+  alignas(kCacheLineBytes) std::array<std::atomic<double>, kMaxCoreTypes>
+      ratio_{};
+
+  // The try-flag, and what only its holder writes. end_block() polls the
+  // recompute count for the first window's close; stats() reads both after
+  // the construct.
+  alignas(kCacheLineBytes) std::atomic<bool> recomputing_{false};
+  std::atomic<i64> recomputes_{0};
+  double reported_sf_ = 0.0;
 };
 
 }  // namespace aid::sched

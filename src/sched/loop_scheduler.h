@@ -25,7 +25,7 @@ namespace aid::sched {
 struct SchedulerStats {
   i64 pool_removals = 0;   ///< fetch-add / CAS removals from the shared pool
   double estimated_sf = 0.0;  ///< AID: SF from the sampling phase (0 if n/a)
-  i64 aid_phases = 0;      ///< AID-dynamic: completed AID phases
+  i64 aid_phases = 0;      ///< AID-dynamic: recomputes of R
   // Sharded-pool breakdown (sharded_work_share.h). For a single-shard
   // pool every removal is local and the other two stay 0.
   i64 local_removals = 0;  ///< removals served by the taker's home shard

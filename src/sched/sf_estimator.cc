@@ -3,6 +3,14 @@
 #include "common/check.h"
 
 namespace aid::sched {
+namespace {
+
+double rate_of(i64 time, i64 iters) {
+  if (time <= 0 || iters <= 0) return 0.0;
+  return static_cast<double>(iters) / static_cast<double>(time);
+}
+
+}  // namespace
 
 SfEstimator::SfEstimator(int num_core_types) : ntypes_(num_core_types) {
   AID_CHECK(num_core_types >= 1 && num_core_types <= kMaxCoreTypes);
@@ -15,18 +23,8 @@ void SfEstimator::reset(int expected_threads) {
     s.iters.store(0, std::memory_order_relaxed);
   }
   base_ = {};
-  base_completed_ = 0;
   line_.expected = expected_threads;
   line_.completed.store(0, std::memory_order_release);
-}
-
-void SfEstimator::next_phase() {
-  for (int t = 0; t < ntypes_; ++t) {
-    const Sums& s = line_.sums[static_cast<usize>(t)];
-    base_[static_cast<usize>(t)] = {s.time.load(std::memory_order_relaxed),
-                                    s.iters.load(std::memory_order_relaxed)};
-  }
-  base_completed_ = line_.completed.load(std::memory_order_relaxed);
 }
 
 bool SfEstimator::record(int core_type, Nanos elapsed, i64 iterations) {
@@ -43,19 +41,23 @@ bool SfEstimator::record(int core_type, Nanos elapsed, i64 iterations) {
   return done % line_.expected == 0;
 }
 
-bool SfEstimator::complete() const {
-  return line_.completed.load(std::memory_order_acquire) - base_completed_ >=
-         line_.expected;
+void SfEstimator::next_window(std::span<double> rates) {
+  AID_CHECK(rates.size() == static_cast<usize>(ntypes_));
+  for (usize t = 0; t < rates.size(); ++t) {
+    const Sums& s = line_.sums[t];
+    const Base now{s.time.load(std::memory_order_relaxed),
+                   s.iters.load(std::memory_order_relaxed)};
+    rates[t] = rate_of(now.time - base_[t].time, now.iters - base_[t].iters);
+    base_[t] = now;
+  }
 }
 
 double SfEstimator::rate(int core_type) const {
   AID_DCHECK(core_type >= 0 && core_type < num_core_types());
   const Sums& s = line_.sums[static_cast<usize>(core_type)];
   const Base& b = base_[static_cast<usize>(core_type)];
-  const i64 time = s.time.load(std::memory_order_relaxed) - b.time;
-  const i64 iters = s.iters.load(std::memory_order_relaxed) - b.iters;
-  if (time <= 0 || iters <= 0) return 0.0;
-  return static_cast<double>(iters) / static_cast<double>(time);
+  return rate_of(s.time.load(std::memory_order_relaxed) - b.time,
+                 s.iters.load(std::memory_order_relaxed) - b.iters);
 }
 
 void SfEstimator::speedup_factors(std::span<const double> fallback_speed,

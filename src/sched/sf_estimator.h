@@ -8,26 +8,27 @@
 // We generalize both axes the paper sketches:
 //  * N core types (the Sec. 4.2 extension): one accumulator pair per type;
 //    SF_j is measured relative to the slowest *populated* type.
-//  * Unequal per-thread sample sizes (needed by AID-dynamic, whose phase
-//    allotments are delta-adjusted): we accumulate (time, iterations) pairs
-//    and compare per-type progress *rates* (iters/time). For the initial
+//  * Unequal per-thread sample sizes (needed by AID-dynamic, whose blocks
+//    differ by core type): we accumulate (time, iterations) pairs and
+//    compare per-type progress *rates* (iters/time). For the initial
 //    sampling phase, where every thread runs exactly `chunk` iterations,
 //    the rate ratio reduces exactly to the paper's average-time ratio.
 //
-// AID-dynamic records once per thread per phase, and a phase can be as
-// short as N·M iterations, so the estimator is laid out for that:
+// AID-dynamic records a thread's blocks throughout the loop and recomputes
+// its R every N records, so the estimator is laid out for that:
 //  * One record line. The completion count and the per-type (time,
 //    iterations) sums share one cache-line-aligned block (one line for up
 //    to 3 core types), so a record() moves one line, not one per type plus
 //    one for the count.
 //  * Monotone sums. Within a construct the count and the sums only grow.
-//    The phase closer calls next_phase(), which copies them into
-//    closer-private bases; rate() and speedup_factors() read the growth
-//    since that copy, and record() signals the closer when the count
-//    reaches a multiple of `expected`. reset() zeroes everything, once per
-//    construct. The sums at a close are exactly that phase's: each thread
-//    records once per phase, and records for phase p+1 only after it
-//    acquired the epoch the closer of phase p releases after its copy.
+//    next_window() copies them into private bases and reports the rates of
+//    the growth since the previous copy; record() signals its caller when
+//    the count reaches a multiple of `expected`. reset() zeroes everything,
+//    once per construct. The growth is the records since the previous
+//    window, give or take records still in flight: a record adds its time,
+//    its iterations and its count in three RMWs, and a window may split
+//    them. Each sum is loaded once per window, so no record is lost
+//    between windows.
 // Owner-written per-thread slots, summed by the closer, measured slower
 // than this shared line on sym-loops (src/sched/README.md).
 #pragma once
@@ -44,41 +45,37 @@ namespace aid::sched {
 inline constexpr int kMaxCoreTypes = 8;
 
 /// Lock-free per-core-type (time, iteration) accumulator plus a completion
-/// counter, armed once per construct and advanced phase by phase.
+/// counter, armed once per construct and read window by window.
 class SfEstimator {
  public:
   explicit SfEstimator(int num_core_types);
 
   /// Re-arm for a new construct expecting `expected_threads` contributions
-  /// per phase. Must not race with record() — callers guarantee it.
+  /// per window. Must not race with record() — callers guarantee it.
   void reset(int expected_threads);
-
-  /// Start the next phase: later rate() and speedup_factors() calls see
-  /// only the samples recorded after this call. Called by the thread whose
-  /// record() returned true, before it lets any thread record again.
-  void next_phase();
 
   /// Record one thread's completed sample. `iterations` may be zero (thread
   /// found the pool empty); such samples count toward completion but do not
-  /// pollute the rate estimate. Returns true iff this call was the last
-  /// expected contribution of its phase — the caller then owns finalization
-  /// (the paper's "last thread computes SF and k").
+  /// pollute the rate estimate. Returns true iff the completion count
+  /// reached a multiple of `expected_threads` — the caller then owns
+  /// finalization (the paper's "last thread computes SF and k").
   bool record(int core_type, Nanos elapsed, i64 iterations);
 
-  /// True once all expected threads recorded for the current phase
-  /// (acquire-loads the counter).
-  [[nodiscard]] bool complete() const;
+  /// Writes rate() of every type into `rates` (num_core_types() entries)
+  /// and starts the next window. Callers serialize the calls, and each
+  /// call orders its bases before the next one's reads.
+  void next_window(std::span<double> rates);
 
-  /// Progress rate (iterations per nanosecond) of a core type in the
-  /// current phase; 0 when the type has no valid samples. Only meaningful
-  /// after complete().
+  /// Progress rate (iterations per nanosecond) of a core type since the
+  /// last next_window(), or since reset(); 0 when the type has no valid
+  /// samples.
   [[nodiscard]] double rate(int core_type) const;
 
   /// SF_j: rate(j) / rate(slowest populated type with valid samples).
   /// Falls back to `fallback_speed[j]` (nominal platform speeds) for types
   /// without valid samples. Result is clamped to >= kMinSf. Writes into
   /// `out`, which must hold num_core_types() entries (no allocation: the
-  /// phase-closing thread calls this) and may alias `fallback_speed`.
+  /// finalizing thread calls this) and may alias `fallback_speed`.
   void speedup_factors(std::span<const double> fallback_speed,
                        std::span<double> out) const;
   /// The same, into a fresh vector.
@@ -105,9 +102,9 @@ class SfEstimator {
     i64 iters = 0;
   };
 
-  /// RMWed by every thread once per phase. `expected` sits on the same
-  /// line, so the comparison after the count's RMW costs no second miss;
-  /// only reset() writes it.
+  /// RMWed by every record(). `expected` sits on the same line, so the
+  /// comparison after the count's RMW costs no second miss; only reset()
+  /// writes it.
   struct alignas(kCacheLineBytes) RecordLine {
     std::atomic<i64> completed{0};
     i64 expected = 1;  // never 0: record() divides by it
@@ -117,11 +114,9 @@ class SfEstimator {
                 "three core types must fit the record line");
 
   RecordLine line_;
-  /// The count and sums at the last next_phase(): written and read by
-  /// phase closers only, each ordered after the previous one by the same
-  /// hand-off that keeps phases apart.
+  /// The sums at the last next_window(): written and read by the caller
+  /// of next_window() only.
   std::array<Base, kMaxCoreTypes> base_{};
-  i64 base_completed_ = 0;
   int ntypes_;
 };
 

@@ -2,21 +2,15 @@
 //
 // A ShardTopology maps every team thread to a *home shard* — the pool
 // partition whose hot segment word only that shard's members write on the
-// fast path (see sched/sharded_work_share.h and src/sched/README.md). Two
-// layouts exist, and the schedule kind picks one (for_schedule); for
-// AID-dynamic, so does whether the layout is uniform. Static and the
-// related-work baselines (guided, trapezoid, weighted factoring) get the
-// empty topology: no pool, or libgomp's single work share.
-//
-//  * per thread — one shard per team thread, capacity = its nominal speed.
-//    A fixed-chunk take is then an RMW on a word no other thread writes
-//    until a thief bulk-migrates from it: the nonmonotonic `dynamic`
-//    OpenMP 5.0 allows (LLVM libomp's static_steal), carried over to the
-//    AID-static/-hybrid allotments and to AID-dynamic's on uniform teams.
-//  * per core type — one shard per populated core type, so the
-//    self-scheduling traffic of each cluster stays cluster-local (the
-//    Catalán et al. / Krishna & Balachandran partitioning argument,
-//    PAPERS.md). AID-dynamic on an AMP is its only user.
+// fast path (see sched/sharded_work_share.h and src/sched/README.md). The
+// schedule kind picks the layout (for_schedule): one shard per team thread,
+// capacity = its nominal speed, for `dynamic` and the three AID schedules.
+// A take is then an RMW on a word no other thread writes until a thief
+// bulk-migrates from it: the nonmonotonic `dynamic` OpenMP 5.0 allows (LLVM
+// libomp's static_steal), carried over to the AID allotments and blocks.
+// Static and the related-work baselines (guided, trapezoid, weighted
+// factoring) get the empty topology: no pool, or libgomp's single work
+// share.
 //
 // The topology is *mechanism description*, not policy: it is derived from
 // the layout a scheduler is built for (the factory's cache-miss path), which
@@ -46,11 +40,6 @@ struct ShardTopology {
     return capacity.empty() ? 1 : static_cast<int>(capacity.size());
   }
 
-  /// One shard per populated core type of `layout`; a layout with one
-  /// populated type yields the empty (single-shard) topology.
-  [[nodiscard]] static ShardTopology per_core_type(
-      const platform::TeamLayout& layout);
-
   /// One shard per thread of `layout` (home = tid, capacity = its nominal
   /// speed); a one-thread layout yields the empty topology.
   [[nodiscard]] static ShardTopology per_thread(
@@ -58,10 +47,9 @@ struct ShardTopology {
 
   /// The topology a runtime-built scheduler of `kind` arms on `layout` —
   /// the one place that choice is made. Per thread for `dynamic`,
-  /// `aid-static` and `aid-hybrid`, and for `aid-dynamic` on a uniform
-  /// layout; per core type for `aid-dynamic` on an AMP; empty for static
-  /// (no pool) and for guided, trapezoid and weighted factoring (one
-  /// shared work share).
+  /// `aid-static`, `aid-hybrid` and `aid-dynamic`; empty for static (no
+  /// pool) and for guided, trapezoid and weighted factoring (one shared
+  /// work share).
   [[nodiscard]] static ShardTopology for_schedule(
       ScheduleKind kind, const platform::TeamLayout& layout);
 };

@@ -4,11 +4,11 @@
 // on one cache line shared by the whole team; at high thread counts the
 // runtime overhead the paper measures (Sec. 4.2) is dominated by that
 // coherence traffic, not by useful removals. ShardedWorkShare splits the
-// canonical space into shards (ShardTopology: one per team thread, or one
-// per core type): each shard's hot {next, end} state lives alone in its own
-// cache line and is written only by its home threads on the fast path, so
-// the common-case removal is a *home-local* RMW — with per-thread shards,
-// an RMW on a word no other thread writes. Cross-shard traffic happens per
+// canonical space into shards (ShardTopology: the runtime arms one per team
+// thread): each shard's hot {next, end} state lives alone in its own cache
+// line and is written only by its home threads on the fast path, so the
+// common-case removal is a *home-local* RMW — with per-thread shards, an
+// RMW on a word no other thread writes. Cross-shard traffic happens per
 // *steal* or per *bulk migration* — not per chunk. Takes are sized by the
 // caller (dynamic's chunk, AID's blocks); the schedules that size a chunk
 // from the loop's remainder (guided, weighted factoring) hold a plain
@@ -40,10 +40,9 @@
 //    snapshot shows next <= e-b, and takers advance next only — the cut
 //    block can never overlap a claim (README has the full argument).
 //
-// Fallback: with one shard (a one-thread or uniform per-core-type layout,
-// a default-constructed topology, or a loop too large for the 32-bit
-// packing) the pool delegates to a plain WorkShare — bit-for-bit the
-// classic single-pool behavior.
+// Fallback: with one shard (a one-thread layout, a default-constructed
+// topology, or a loop too large for the 32-bit packing) the pool delegates
+// to a plain WorkShare — bit-for-bit the classic single-pool behavior.
 #pragma once
 
 #include <atomic>

@@ -28,7 +28,7 @@ struct PhaseResult {
   int invocations = 0;      ///< loop phases only
   i64 pool_removals = 0;    ///< loop phases only, summed over invocations
   double estimated_sf = 0.0;  ///< AID: SF estimate from the last invocation
-  i64 aid_phases = 0;         ///< AID-dynamic: phases in the last invocation
+  i64 aid_phases = 0;         ///< AID-dynamic: recomputes of R, last invocation
 };
 
 struct AppResult {

@@ -57,11 +57,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The DataPar kernels also sweep the shard dimension, which a Team picks
 // from the schedule kind and the layout (ShardTopology::for_schedule):
-// dynamic and aid-static arm one shard per thread on every team, and
-// dynamic(16) puts the pool's grain-16 seams between those shards;
-// aid-dynamic arms one per thread on the symmetric team and one per core
-// type on the AMPs, which on the 1+1 two-thread team is again one per
-// thread; guided holds a plain WorkShare on every team. The whole-suite ×
+// dynamic, aid-static and aid-dynamic arm one shard per thread on every
+// team, and dynamic(16) puts the pool's grain-16 seams between those
+// shards; guided holds a plain WorkShare on every team. The whole-suite ×
 // pool-mode coverage comes from the CI legs running this binary plainly
 // and under AID_POOL=1.
 TEST(DataParShardInvariance, SameChecksumUnderShardSettings) {

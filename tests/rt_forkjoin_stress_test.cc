@@ -16,17 +16,23 @@
 // Pool topologies covered (ShardTopology::for_schedule picks them):
 //  * BackToBackLoopsCoverExactlyOnce binds 1, 2, 4 and 8 big-first threads
 //    on a 4+4 AMP. At 2 and 4 threads the team sits on the big cores only,
-//    so it is uniform: dynamic, aid-static, aid-hybrid and aid-dynamic run
-//    one shard per thread. At 8 threads the team spans both core types:
-//    aid-dynamic runs one shard per core type, dynamic, aid-static and
-//    aid-hybrid one per thread. Guided, trapezoid and weighted factoring
-//    hold a plain WorkShare at every thread count, and one thread always
-//    runs the single pool.
+//    so it is uniform; at 8 threads it spans both core types. On every
+//    team of two or more threads, dynamic, aid-static, aid-hybrid and
+//    aid-dynamic run one shard per thread. Guided, trapezoid and weighted
+//    factoring hold a plain WorkShare at every thread count, and one
+//    thread always runs the single pool.
 //  * DynamicRemovalCountIsExactOnEveryTopology runs dynamic on 8 per-thread
 //    shards, on a symmetric platform and on the AMP.
+//  * AidDynamicRecomputesRaceWithRecords runs aid-dynamic on a 2+2 AMP,
+//    where every thread records its blocks and whoever makes the N-th
+//    record recomputes R behind a try-flag.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <cmath>
+#include <thread>
 #include <vector>
 
 #include "platform/platform.h"
@@ -118,6 +124,54 @@ TEST(ForkJoinStress, DynamicRemovalCountIsExactOnEveryTopology) {
       }
     }
   }
+}
+
+TEST(ForkJoinStress, AidDynamicRecomputesRaceWithRecords) {
+  // Many short aid-dynamic constructs on a 2+2 AMP: records and recomputes
+  // run concurrently, and a recorder that finds the try-flag taken skips.
+  // Each thread's second chunk waits until all four threads hold theirs,
+  // so every thread has recorded its sampling chunk and the first
+  // recompute is done. The team binds its threads, since unbound ones were
+  // seen to share one CPU on a 4-CPU guest. Each construct covers its
+  // iterations exactly once, recomputes R and reports a finite, positive
+  // SF. The team runs on its own master thread, so the binding ends with
+  // the test.
+  constexpr i64 kCount = 2000;
+  constexpr int kThreads = 4;
+  constexpr int kLoops = 300;
+  std::jthread([&] {
+    Team team(platform::generic_amp(2, 2, 2.0), kThreads, Mapping::kBigFirst,
+              /*emulate_amp=*/false, /*bind_threads=*/true);
+    std::vector<std::atomic<u16>> hits(kCount);
+    for (int l = 0; l < kLoops; ++l) {
+      for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+      std::array<std::atomic<int>, kThreads> chunks_of{};
+      std::atomic<int> sampled{0};
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      team.run_loop(
+          kCount, ScheduleSpec::aid_dynamic(1, 5),
+          [&](i64 b, i64 e, const WorkerInfo& w) {
+            if (chunks_of[static_cast<usize>(w.tid)].fetch_add(1) == 1) {
+              sampled.fetch_add(1);
+              while (sampled.load() < kThreads &&
+                     std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            }
+            for (i64 i = b; i < e; ++i)
+              hits[static_cast<usize>(i)].fetch_add(
+                  1, std::memory_order_relaxed);
+          });
+      ASSERT_EQ(sampled.load(), kThreads) << "loop=" << l;
+      for (i64 i = 0; i < kCount; ++i)
+        ASSERT_EQ(hits[static_cast<usize>(i)].load(), 1)
+            << "loop=" << l << " iteration=" << i;
+      const sched::SchedulerStats st = team.last_loop_stats();
+      ASSERT_GT(st.aid_phases, 0) << "loop=" << l;
+      ASSERT_TRUE(std::isfinite(st.estimated_sf)) << "loop=" << l;
+      ASSERT_GT(st.estimated_sf, 0.0) << "loop=" << l;
+    }
+  }).join();
 }
 
 TEST(ForkJoinStress, DynamicRemovalCountIsTightUnderSharding) {

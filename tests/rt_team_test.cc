@@ -134,8 +134,8 @@ TEST(Team, ManyConsecutiveLoopsReuseWorkers) {
 TEST(Team, GuidedChunksFollowTheWholeLoopRemainder) {
   // libgomp's guided on real threads: one work share, so each chunk is
   // max(c, remaining / T) of the WHOLE loop at the moment it is taken —
-  // on an AMP too, where a per-core-type pool would size it by its own
-  // shard's remainder instead. Taken in start order from one cursor, the
+  // on an AMP too, where a sharded pool would size it by its own shard's
+  // remainder instead. Taken in start order from one cursor, the
   // chunks sorted by start therefore follow the formula exactly, whatever
   // the interleaving was.
   Team team(small_amp(), 4, Mapping::kBigFirst, false);  // 2 big + 2 small

@@ -1,7 +1,11 @@
-// AidDynamicScheduler: Fig. 5 state machine — sampling, repeated AID phases
-// with the R progress ratio, the smoothing update, and the endgame
-// optimization.
+// AidDynamicScheduler: Fig. 5 without its phase rendezvous — the sampling
+// chunk, R·M blocks taken as soon as the last one ends, R recomputed from
+// each window of N records, and the endgame optimization.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/time_source.h"
 #include "sched/aid_dynamic_sched.h"
@@ -143,85 +147,225 @@ TEST(AidDynamic, ResetReplaysIdentically) {
 }
 
 // An AidDynamicScheduler driven call by call on one shard per thread (the
-// topology the runtime arms on a uniform team): four threads on a
-// symmetric platform, m = 1, M = 5, so the endgame threshold M·N is 20.
+// topology the runtime arms), bound big-first, with m = 1, M = 5 and one
+// manual clock per thread.
 class HandDrivenAidDynamic {
  public:
-  static constexpr int kThreads = 4;
-  static constexpr i64 kEndgameThreshold = 5 * kThreads;
+  static constexpr i64 kMinor = 1;
+  static constexpr i64 kMajor = 5;
 
-  explicit HandDrivenAidDynamic(i64 count)
-      : layout_(platform::symmetric(kThreads), kThreads,
-                platform::Mapping::kBigFirst),
-        sched_(count, layout_, /*minor_chunk=*/1, /*major_chunk=*/5,
-               /*endgame_enabled=*/true, ShardTopology::per_thread(layout_)) {}
+  HandDrivenAidDynamic(const platform::Platform& platform, int nthreads,
+                       i64 count)
+      : layout_(platform, nthreads, platform::Mapping::kBigFirst),
+        clocks_(static_cast<usize>(nthreads)),
+        sched_(count, layout_, kMinor, kMajor, /*endgame_enabled=*/true,
+               ShardTopology::per_thread(layout_)) {}
 
-  /// One next() by `tid`; the range it was handed (empty: its loop ended).
-  IterRange next(int tid) {
-    ThreadContext tc{
-        .tid = tid, .core_type = 0, .speed = 1.0, .time = &clock_};
+  /// `tid` ends its block after `elapsed` ns of its clock and calls next();
+  /// the range it was handed (empty: its loop ended).
+  IterRange next(int tid, Nanos elapsed = 100) {
+    ManualTimeSource& clock = clocks_[static_cast<usize>(tid)];
+    clock.advance(elapsed);
+    ThreadContext tc{.tid = tid,
+                     .core_type = layout_.core_type_of(tid),
+                     .speed = layout_.speed_of(tid),
+                     .time = &clock};
     IterRange r;
     if (!sched_.next(tc, r)) return {};
-    clock_.advance(100);
     return r;
   }
 
   AidDynamicScheduler& sched() { return sched_; }
 
  private:
-  ManualTimeSource clock_;
   platform::TeamLayout layout_;
+  std::vector<ManualTimeSource> clocks_;
   AidDynamicScheduler sched_;
 };
 
 // The endgame test reads the caller's home shard first. A drained home
 // shard is no reason to end: the decision is still the pool's total.
 TEST(AidDynamic, DrainedHomeShardWithFatForeignShardsStaysOutOfTheEndgame) {
-  HandDrivenAidDynamic h(400);  // home shard of each thread: 100 iterations
-  // Thread 0 samples, records, and steals m-chunks while the sampling
-  // phase is open, until its home shard [0, 100) is empty.
-  for (i64 taken = 0; taken < 100; ++taken) {
+  // Symmetric: no sampling chunk, every block is M. Each home shard holds
+  // 100 iterations, so thread 0 drains its own in 20 blocks.
+  HandDrivenAidDynamic h(platform::symmetric(4), 4, 400);
+  for (int block = 0; block < 20; ++block) {
     const IterRange r = h.next(0);
-    ASSERT_EQ(r.size(), 1);
+    ASSERT_EQ(r.size(), HandDrivenAidDynamic::kMajor);
     ASSERT_LE(r.end, 100) << "taken from home";
   }
-  // The others sample; thread 3's record closes the phase and enters the
-  // next one with its home shard full.
-  for (int tid = 1; tid < HandDrivenAidDynamic::kThreads; ++tid)
-    ASSERT_EQ(h.next(tid).size(), 1);
-  for (int tid = 1; tid < HandDrivenAidDynamic::kThreads; ++tid)
-    ASSERT_FALSE(h.next(tid).empty());
-  ASSERT_EQ(h.sched().stats().aid_phases, 1);
-  ASSERT_GT(h.sched().remaining(),
-            10 * HandDrivenAidDynamic::kEndgameThreshold);
-  // Thread 0 enters the phase on a drained home shard.
-  EXPECT_FALSE(h.next(0).empty());
+  ASSERT_EQ(h.sched().remaining(), 300);
+  // Its home shard is empty, the three foreign ones hold 100 each: the
+  // next block comes from a foreign shard, and the loop is not ending.
+  const IterRange r = h.next(0);
+  EXPECT_EQ(r.size(), HandDrivenAidDynamic::kMajor);
+  EXPECT_GE(r.begin, 100);
   EXPECT_FALSE(h.sched().in_endgame());
 }
 
-// Thread 3 closes the sampling phase and decides on the endgame in the same
-// next(), after three samples and three wait steals by the others and its
-// own sample: the pool then holds count - 7 iterations.
-bool endgame_at_first_phase(i64 count) {
-  HandDrivenAidDynamic h(count);
-  for (int tid = 0; tid < HandDrivenAidDynamic::kThreads; ++tid)
-    EXPECT_EQ(h.next(tid).size(), 1);
-  for (int tid = 0; tid < HandDrivenAidDynamic::kThreads - 1; ++tid)
-    EXPECT_EQ(h.next(tid).size(), 1);
-  EXPECT_EQ(h.sched().remaining(), count - 7);
+// Every thread takes two M blocks from its own home shard, so the pool
+// holds `left` iterations when thread 0 calls next() again: does that call
+// start the endgame? The endgame hands out m-chunks, a block is M.
+bool endgame_with_left(i64 left) {
+  HandDrivenAidDynamic h(platform::symmetric(4), 4, left + 8 * 5);
+  for (int round = 0; round < 2; ++round)
+    for (int tid = 0; tid < 4; ++tid)
+      EXPECT_EQ(h.next(tid).size(), HandDrivenAidDynamic::kMajor);
+  EXPECT_EQ(h.sched().remaining(), left);
   EXPECT_FALSE(h.sched().in_endgame());
-  EXPECT_FALSE(h.next(HandDrivenAidDynamic::kThreads - 1).empty());
-  EXPECT_EQ(h.sched().stats().aid_phases, 1);
+  const IterRange r = h.next(0);
+  EXPECT_EQ(r.size(), h.sched().in_endgame() ? HandDrivenAidDynamic::kMinor
+                                             : HandDrivenAidDynamic::kMajor);
   return h.sched().in_endgame();
 }
 
 TEST(AidDynamic, EndgameStartsAtMajorTimesThreadsRemaining) {
-  EXPECT_TRUE(endgame_at_first_phase(
-      HandDrivenAidDynamic::kEndgameThreshold + 7 - 3));  // 17 left
-  EXPECT_TRUE(endgame_at_first_phase(
-      HandDrivenAidDynamic::kEndgameThreshold + 7));  // exactly M·N left
-  EXPECT_FALSE(endgame_at_first_phase(
-      HandDrivenAidDynamic::kEndgameThreshold + 7 + 1));  // M·N + 1 left
+  constexpr i64 kThreshold = HandDrivenAidDynamic::kMajor * 4;
+  EXPECT_TRUE(endgame_with_left(kThreshold - 3));
+  EXPECT_TRUE(endgame_with_left(kThreshold));  // exactly M·N left
+  EXPECT_FALSE(endgame_with_left(kThreshold + 1));
+}
+
+// The timed protocol, on generic_amp(2, 2, 2.0) bound big-first: threads 0
+// and 1 run on the big cores (type 1), 2 and 3 on the small ones (type 0).
+// A big thread's block is round(R·M), a small thread's M.
+HandDrivenAidDynamic amp_team() {
+  return HandDrivenAidDynamic(platform::generic_amp(2, 2, 2.0), 4, 4000);
+}
+
+TEST(AidDynamic, BlockFollowsTheSamplingChunkWithoutWaitingForPeers) {
+  HandDrivenAidDynamic h = amp_team();
+  EXPECT_EQ(h.next(0).size(), HandDrivenAidDynamic::kMinor);  // sampling
+  // Nobody else has recorded: thread 0 still gets a full block at once,
+  // with the R it starts from.
+  EXPECT_EQ(h.next(0).size(), HandDrivenAidDynamic::kMajor);
+  EXPECT_EQ(h.sched().progress_ratios(), (std::vector<double>{1.0, 1.0}));
+  EXPECT_EQ(h.sched().stats().aid_phases, 0);
+  EXPECT_EQ(h.next(0).size(), HandDrivenAidDynamic::kMajor);
+}
+
+TEST(AidDynamic, RMovesOnlyAtTheNthRecordAndOnlyFromItsWindow) {
+  HandDrivenAidDynamic h = amp_team();
+  std::vector<i64> size(4);
+  for (int tid = 0; tid < 4; ++tid) size[tid] = h.next(tid).size();
+  ASSERT_EQ(size, (std::vector<i64>{1, 1, 1, 1}));
+  // Window 1, the sampling chunks: 100 ns per iteration on the big cores,
+  // 300 on the small ones. Three records leave R alone.
+  size[0] = h.next(0, 100).size();
+  size[1] = h.next(1, 100).size();
+  size[2] = h.next(2, 300).size();
+  EXPECT_EQ(h.sched().progress_ratios(), (std::vector<double>{1.0, 1.0}));
+  EXPECT_EQ(h.sched().stats().aid_phases, 0);
+  // The fourth recomputes R from the four.
+  size[3] = h.next(3, 300).size();
+  EXPECT_EQ(h.sched().stats().aid_phases, 1);
+  EXPECT_DOUBLE_EQ(h.sched().progress_ratios()[1], 3.0);
+  EXPECT_DOUBLE_EQ(h.sched().stats().estimated_sf, 3.0);
+  EXPECT_EQ(size, (std::vector<i64>{5, 5, 5, 5}));
+
+  // Window 2: four blocks per thread, one record each, at 25 ns per
+  // iteration on the big cores and 100 on the small ones. Pooled with
+  // window 1 they would read 4.14, not 4.
+  const Nanos ns_per_iter[] = {100, 25};
+  const auto run_blocks = [&](int tid) {
+    for (int block = 0; block < AidDynamicScheduler::kBlocksPerRecord;
+         ++block) {
+      const Nanos ns = ns_per_iter[tid < 2 ? 1 : 0];
+      size[static_cast<usize>(tid)] =
+          h.next(tid, size[static_cast<usize>(tid)] * ns).size();
+    }
+  };
+  for (int tid = 0; tid < 3; ++tid) run_blocks(tid);
+  EXPECT_EQ(h.sched().stats().aid_phases, 1);
+  EXPECT_DOUBLE_EQ(h.sched().progress_ratios()[1], 3.0);
+  EXPECT_EQ(size[0], 15) << "a big block after the recompute is round(3·5)";
+  run_blocks(3);
+  EXPECT_EQ(h.sched().stats().aid_phases, 2);
+  EXPECT_DOUBLE_EQ(h.sched().progress_ratios()[0], 1.0);
+  EXPECT_DOUBLE_EQ(h.sched().progress_ratios()[1], 4.0);
+  EXPECT_DOUBLE_EQ(h.sched().stats().estimated_sf, 3.0)
+      << "the loop's SF is the first complete recompute's";
+}
+
+// The big cores end their sampling chunks first, and their later blocks
+// run warm. The first window waits for every thread's sampling chunk, and
+// holds nothing else: the big threads' blocks are recorded only after it.
+TEST(AidDynamic, FirstWindowIsTheSamplingChunks) {
+  HandDrivenAidDynamic h = amp_team();
+  std::vector<i64> size(4);
+  for (int tid = 0; tid < 4; ++tid) size[tid] = h.next(tid).size();
+  // Threads 0 and 1 end their sampling chunks at 100 ns per iteration,
+  // then eight blocks each at 10: two records so far.
+  for (const int tid : {0, 1}) {
+    size[tid] = h.next(tid, 100).size();
+    for (int block = 0; block < 2 * AidDynamicScheduler::kBlocksPerRecord;
+         ++block)
+      size[tid] = h.next(tid, size[tid] * 10).size();
+  }
+  EXPECT_EQ(h.sched().stats().aid_phases, 0);
+  EXPECT_EQ(h.sched().stats().estimated_sf, 0.0) << "not measured yet";
+  EXPECT_EQ(size[0], HandDrivenAidDynamic::kMajor) << "R is still 1";
+
+  // The small threads' samples, at 300 ns per iteration, complete the
+  // window: R and the loop's SF are the sampling chunks' ratio alone.
+  for (const int tid : {2, 3}) size[tid] = h.next(tid, 300).size();
+  EXPECT_EQ(h.sched().stats().aid_phases, 1);
+  EXPECT_DOUBLE_EQ(h.sched().progress_ratios()[1], 3.0);
+  EXPECT_DOUBLE_EQ(h.sched().stats().estimated_sf, 3.0);
+
+  // A window of big records alone leaves R as it was, though they ran
+  // faster: two more records per big thread, the first with every block
+  // since its sampling chunk.
+  for (const int tid : {0, 1})
+    for (int block = 0; block < 2 * AidDynamicScheduler::kBlocksPerRecord;
+         ++block)
+      size[tid] = h.next(tid, size[tid] * 10).size();
+  EXPECT_EQ(h.sched().stats().aid_phases, 2);
+  EXPECT_DOUBLE_EQ(h.sched().progress_ratios()[1], 3.0);
+  EXPECT_DOUBLE_EQ(h.sched().stats().estimated_sf, 3.0);
+}
+
+// A clock that counts its reads.
+class CountingClock final : public TimeSource {
+ public:
+  [[nodiscard]] Nanos now() const override { return ++reads; }
+  mutable Nanos reads = 0;
+};
+
+TEST(AidDynamic, UniformTeamReadsNoClockAndRecordsNothing) {
+  for (const auto& [platform, nthreads] :
+       {std::pair{platform::symmetric(4), 4},
+        std::pair{platform::generic_amp(2, 2, 2.0), 2}}) {  // both big
+    const platform::TeamLayout layout(platform, nthreads,
+                                      platform::Mapping::kBigFirst);
+    ASSERT_TRUE(layout.is_uniform());
+    constexpr i64 kCount = 1000;
+    AidDynamicScheduler sched(kCount, layout, 1, 5, true,
+                              ShardTopology::per_thread(layout));
+    CountingClock clock;
+    std::vector<int> hits(kCount, 0);
+    std::vector<bool> done(static_cast<usize>(nthreads), false);
+    for (int live = nthreads; live > 0;) {
+      for (int tid = 0; tid < nthreads; ++tid) {
+        if (done[static_cast<usize>(tid)]) continue;
+        ThreadContext tc{.tid = tid,
+                         .core_type = layout.core_type_of(tid),
+                         .time = &clock};
+        IterRange r;
+        if (!sched.next(tc, r)) {
+          done[static_cast<usize>(tid)] = true;
+          --live;
+          continue;
+        }
+        EXPECT_EQ(r.size(), sched.in_endgame() ? 1 : 5);
+        for (i64 i = r.begin; i < r.end; ++i) ++hits[static_cast<usize>(i)];
+      }
+    }
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), kCount);
+    EXPECT_EQ(clock.reads, 0);
+    EXPECT_EQ(sched.stats().aid_phases, 0);
+    EXPECT_EQ(sched.stats().estimated_sf, 1.0);
+  }
 }
 
 }  // namespace

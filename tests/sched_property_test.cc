@@ -161,8 +161,8 @@ TEST(ScheduleProperty, LabelsAreUniqueAndParsable) {
 
 ShardTopology two_shard_topo(int nthreads) {
   // Low tids -> shard 1 (the "big" cluster under the BS mapping), high
-  // tids -> shard 0, mirroring ShardTopology::per_core_type on a 2-type
-  // AMP.
+  // tids -> shard 0: shards shared by several threads each, a layout the
+  // pool supports though the runtime arms one shard per thread.
   ShardTopology topo;
   topo.home_of_tid.resize(static_cast<usize>(nthreads));
   topo.capacity.assign(2, 0.0);
@@ -257,8 +257,7 @@ TEST(ShardedWorkShare, OversizedLoopFallsBackToSinglePool) {
 }
 
 // ShardTopology::for_schedule is the one place the runtime picks a pool's
-// shard layout: per thread for the fixed-chunk kinds, and for aid-dynamic
-// on a uniform team; per core type for aid-dynamic on an AMP; nothing to
+// shard layout: per thread for dynamic and the three AID kinds; nothing to
 // shard for static, for the remainder-sized kinds (they hold a plain
 // WorkShare) or for a one-thread team.
 void expect_per_thread(const ShardTopology& topo,
@@ -277,25 +276,6 @@ void expect_per_thread(const ShardTopology& topo,
   }
 }
 
-void expect_per_core_type(const ShardTopology& topo,
-                          const platform::TeamLayout& layout) {
-  if (layout.is_uniform()) {
-    // One populated core type: the classic single pool.
-    EXPECT_TRUE(topo.home_of_tid.empty());
-    return;
-  }
-  ASSERT_EQ(topo.nshards(), 2);
-  std::vector<double> capacity(2, 0.0);
-  for (int tid = 0; tid < layout.nthreads(); ++tid) {
-    const int home = topo.home_of_tid[static_cast<usize>(tid)];
-    capacity[static_cast<usize>(home)] += layout.speed_of(tid);
-    // Same core type <=> same shard.
-    EXPECT_EQ(home == topo.home_of_tid[0],
-              layout.core_type_of(tid) == layout.core_type_of(0));
-  }
-  EXPECT_EQ(capacity, topo.capacity);
-}
-
 TEST(ShardTopology, ForSchedulePicksTheLayoutByKind) {
   const platform::Platform sym = platform::symmetric(4);
   const platform::Platform amp = platform::generic_amp(2, 2, 2.0);
@@ -305,9 +285,9 @@ TEST(ShardTopology, ForSchedulePicksTheLayoutByKind) {
       {amp, 2, platform::Mapping::kBigFirst},  // both on big cores: uniform
       {amp, 1, platform::Mapping::kBigFirst},
   };
-  const ScheduleKind per_thread[] = {ScheduleKind::kDynamic,
-                                     ScheduleKind::kAidStatic,
-                                     ScheduleKind::kAidHybrid};
+  const ScheduleKind per_thread[] = {
+      ScheduleKind::kDynamic, ScheduleKind::kAidStatic,
+      ScheduleKind::kAidHybrid, ScheduleKind::kAidDynamic};
   // No pool (static), or libgomp's single work share (the related-work
   // baselines size chunks from the whole loop's remainder).
   const ScheduleKind single[] = {ScheduleKind::kStatic, ScheduleKind::kGuided,
@@ -325,17 +305,8 @@ TEST(ShardTopology, ForSchedulePicksTheLayoutByKind) {
       SCOPED_TRACE(to_string(kind));
       expect_per_thread(ShardTopology::for_schedule(kind, layout), layout);
     }
-    // aid-dynamic: a uniform team would get one shared cursor per core
-    // type, so it gets one shard per thread; an AMP keeps one per type.
-    const ShardTopology aid_dynamic =
-        ShardTopology::for_schedule(ScheduleKind::kAidDynamic, layout);
-    if (layout.is_uniform()) {
-      expect_per_thread(aid_dynamic, layout);
-    } else {
-      expect_per_core_type(aid_dynamic, layout);
-    }
   }
-  // The layouts above cover both sides of aid-dynamic's choice.
+  // The layouts above cover uniform teams and an AMP.
   EXPECT_TRUE(layouts[0].is_uniform());
   EXPECT_FALSE(layouts[1].is_uniform());
   EXPECT_TRUE(layouts[2].is_uniform());

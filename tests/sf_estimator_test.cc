@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -26,10 +26,12 @@ TEST(SfEstimator, LastRecorderIsSignalled) {
   e.reset(3);
   EXPECT_FALSE(e.record(0, 100, 1));
   EXPECT_FALSE(e.record(1, 50, 1));
-  EXPECT_FALSE(e.complete());
   EXPECT_TRUE(e.record(1, 50, 1));
-  EXPECT_TRUE(e.complete());
   EXPECT_DOUBLE_EQ(sf_of(e, {1.0, 1.0})[1], 2.0);
+  // Every multiple of the expected count signals again.
+  EXPECT_FALSE(e.record(0, 100, 1));
+  EXPECT_FALSE(e.record(0, 100, 1));
+  EXPECT_TRUE(e.record(0, 100, 1));
 }
 
 TEST(SfEstimator, EqualChunksReduceToPaperTimeRatio) {
@@ -113,106 +115,90 @@ TEST(SfEstimator, ResetRearmsForNextPhase) {
   e.reset(2);
   e.record(0, 100, 1);
   e.record(1, 50, 1);
-  EXPECT_TRUE(e.complete());
   e.reset(2);
-  EXPECT_FALSE(e.complete());
-  e.record(0, 200, 1);
-  e.record(1, 25, 1);
+  EXPECT_FALSE(e.record(0, 200, 1));
+  EXPECT_TRUE(e.record(1, 25, 1));
   const auto sf = sf_of(e, {1.0, 1.0});
   EXPECT_DOUBLE_EQ(sf[1], 8.0) << "old phase data must not leak";
 }
 
-TEST(SfEstimator, NextPhaseIsolatesPhases) {
+TEST(SfEstimator, NextWindowIsolatesWindows) {
   SfEstimator e(2);
   e.reset(2);
   EXPECT_FALSE(e.record(0, 100, 1));
   EXPECT_TRUE(e.record(1, 50, 1));
   EXPECT_DOUBLE_EQ(sf_of(e, {1.0, 1.0})[1], 2.0);
+  std::vector<double> rates(2);
+  e.next_window(rates);
+  EXPECT_EQ(rates, (std::vector<double>{1.0 / 100.0, 1.0 / 50.0}));
 
-  // Phase 2 alone reads 8; pooled with phase 1 it would read 300/75 = 4.
-  e.next_phase();
-  EXPECT_FALSE(e.complete());
+  // Window 2 alone reads 8; pooled with window 1 it would read 300/75 = 4.
   EXPECT_FALSE(e.record(0, 200, 1));
   EXPECT_TRUE(e.record(1, 25, 1));
-  EXPECT_TRUE(e.complete());
   EXPECT_DOUBLE_EQ(sf_of(e, {1.0, 1.0})[1], 8.0);
   EXPECT_DOUBLE_EQ(e.rate(0), 1.0 / 200.0);
+  e.next_window(rates);
+  EXPECT_EQ(rates, (std::vector<double>{1.0 / 200.0, 1.0 / 25.0}));
 
-  // A type with no samples in this phase falls back to its nominal speed,
-  // although earlier phases sampled it.
-  e.next_phase();
+  // A type with no samples in this window reads rate 0 and falls back to
+  // its nominal speed, although earlier windows sampled it.
   EXPECT_FALSE(e.record(0, 100, 1));
   EXPECT_TRUE(e.record(1, 0, 0));
   EXPECT_DOUBLE_EQ(e.rate(1), 0.0);
   EXPECT_DOUBLE_EQ(sf_of(e, {1.0, 2.5})[1], 2.5);
+  e.next_window(rates);
+  EXPECT_EQ(rates, (std::vector<double>{1.0 / 100.0, 0.0}));
+
+  // A window without records reads 0 everywhere.
+  e.next_window(rates);
+  EXPECT_EQ(rates, (std::vector<double>{0.0, 0.0}));
 
   // reset() re-arms for a new construct, at a new team size.
   e.reset(3);
-  EXPECT_FALSE(e.complete());
   EXPECT_FALSE(e.record(0, 300, 1));
   EXPECT_FALSE(e.record(0, 300, 1));
   EXPECT_TRUE(e.record(1, 100, 1));
   EXPECT_DOUBLE_EQ(sf_of(e, {1.0, 1.0})[1], 3.0);
 }
 
-TEST(SfEstimator, PhasesCloseOnceEachUnderConcurrency) {
-  // AID-dynamic's protocol: each thread records once per phase, and only
-  // after the closer of the previous phase called next_phase() and
-  // released the next epoch. Then exactly one record() per phase returns
-  // true, and the closer's SF is that phase's samples alone.
+TEST(SfEstimator, WindowsUnderConcurrency) {
+  // AID-dynamic's protocol: every thread records at will, and a signalled
+  // recorder reads a window only if no other window is being read (a
+  // try-flag). Exactly one record() per kThreads records signals, and
+  // every window reads finite, non-negative rates. The windows are not
+  // exact — a window may split records in flight, as many as land while
+  // its reader sits between two loads — so the rates are not compared
+  // with the samples'.
   constexpr int kThreads = 4;
-  constexpr i64 kPhases = 10000;
-  // Thread t runs on core type t % 2; its sample varies with the phase.
-  const auto elapsed_of = [](i64 phase, int t) {
-    return Nanos{100 + (phase * 7 + t * 13) % 50};
-  };
-  const auto iters_of = [](i64 phase, int t) {
-    return i64{1 + (phase + t) % 5};
-  };
-  const auto expected_sf = [&](i64 phase) {
-    i64 time[2] = {0, 0};
-    i64 iters[2] = {0, 0};
-    for (int t = 0; t < kThreads; ++t) {
-      time[t % 2] += elapsed_of(phase, t);
-      iters[t % 2] += iters_of(phase, t);
-    }
-    return (static_cast<double>(iters[1]) / static_cast<double>(time[1])) /
-           (static_cast<double>(iters[0]) / static_cast<double>(time[0]));
-  };
-
+  constexpr i64 kRecords = 20000;  // per thread
   SfEstimator e(2);
   e.reset(kThreads);
-  const std::vector<double> nominal{1.0, 1.0};
-  std::vector<std::atomic<int>> closes(static_cast<usize>(kPhases));
-  std::atomic<i64> wrong_sf{0};
-  std::atomic<i64> epoch{0};
-  // A phase nobody closes fails the test instead of hanging it.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::atomic<i64> signals{0};
+  std::atomic<i64> windows{0};
+  std::atomic<i64> bad_rates{0};
+  std::atomic<bool> reading{false};
   {
     std::vector<std::jthread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        for (i64 p = 0; p < kPhases; ++p) {
-          while (epoch.load(std::memory_order_acquire) < p) {
-            if (std::chrono::steady_clock::now() > deadline) return;
-            std::this_thread::yield();
-          }
-          if (!e.record(t % 2, elapsed_of(p, t), iters_of(p, t))) continue;
-          closes[static_cast<usize>(p)].fetch_add(1);
-          if (e.speedup_factors(nominal)[1] != expected_sf(p))
-            wrong_sf.fetch_add(1);
-          e.next_phase();
-          epoch.store(p + 1, std::memory_order_release);
+        for (i64 r = 0; r < kRecords; ++r) {
+          if (!e.record(t % 2, 100 + (r + t) % 50, 1 + r % 5)) continue;
+          signals.fetch_add(1);
+          if (reading.exchange(true, std::memory_order_acquire)) continue;
+          std::vector<double> rates(2);
+          e.next_window(rates);
+          for (const double rate : rates)
+            if (!(rate >= 0.0 && std::isfinite(rate))) bad_rates.fetch_add(1);
+          windows.fetch_add(1);
+          reading.store(false, std::memory_order_release);
         }
       });
     }
   }
-  EXPECT_EQ(epoch.load(), kPhases);
-  EXPECT_EQ(wrong_sf.load(), 0);
-  for (i64 p = 0; p < kPhases; ++p)
-    ASSERT_EQ(closes[static_cast<usize>(p)].load(), 1) << "phase " << p;
+  EXPECT_EQ(signals.load(), kRecords);  // kThreads·kRecords / kThreads
+  EXPECT_GT(windows.load(), 0);
+  EXPECT_EQ(bad_rates.load(), 0);
 }
 
 TEST(SfEstimator, ConcurrentRecordingCountsExactly) {
@@ -234,7 +220,6 @@ TEST(SfEstimator, ConcurrentRecordingCountsExactly) {
       }
     }
     ASSERT_EQ(last_signals.load(), 1) << "exactly one thread closes a phase";
-    ASSERT_TRUE(e.complete());
     ASSERT_GT(sf_of(e, {1.0, 1.0})[1], 0.0);
   }
 }
