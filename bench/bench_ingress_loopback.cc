@@ -16,6 +16,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,6 +88,7 @@ int main() {
       platform);
 
   serve::ServeNode::Config node_cfg;
+  node_cfg.bind_threads = true;  // as serve-mix binds its node (bench/e2e)
   serve::ServeNode node(platform, node_cfg);
 
   ingress::IngressServer::Config icfg;
@@ -122,19 +125,19 @@ int main() {
     for (int r = -warmup; r < runs; ++r) {
       {
         // The direct leg does the same work a SUBMIT frame triggers —
-        // kernel construction included — so the delta isolates the wire:
-        // encode, transport hop, event loop, completion hook, checksum,
-        // decode.
+        // validation, and the kernel build on the dispatcher — so the
+        // delta isolates the wire: encode, transport hop, event loop,
+        // completion hook, checksum, decode.
         const double t0 = now_ns();
         std::string kerr;
-        auto kernel = workloads::make_serve_kernel("EP", count, &kerr);
-        if (!kernel) {
+        if (!workloads::validate_serve_kernel("EP", count, &kerr)) {
           std::fprintf(stderr, "kernel: %s\n", kerr.c_str());
           return 1;
         }
         serve::JobSpec spec;
-        spec.count = kernel->count;
-        spec.body = kernel->body;
+        spec.count = count;
+        spec.make_body = workloads::serve_kernel_builder(
+            "EP", count, std::make_shared<std::function<double()>>());
         // Same schedule on both legs — the delta must be the wire, not a
         // static-vs-dynamic chunking difference.
         spec.sched = sched::ScheduleSpec::static_even();

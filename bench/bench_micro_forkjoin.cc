@@ -427,55 +427,67 @@ int main() {
       {"dynamic16", sched::ScheduleSpec::dynamic(16)},
   };
 
+  const int cpus = static_cast<int>(std::thread::hardware_concurrency());
   for (int nthreads : {1, 2, 4, 8, 16}) {
     if (nthreads > max_threads) break;
-    // No throttling: pure runtime cost, no emulated AMP. The platform always
-    // has at least one core of each type (generic_amp's contract); the team
-    // binds the first `nthreads` of them.
-    const auto platform = platform::generic_amp(
-        nthreads - nthreads / 2 > 0 ? nthreads - nthreads / 2 : 1,
-        nthreads / 2 > 0 ? nthreads / 2 : 1, 2.0);
-    rt::Team team(platform, nthreads, platform::Mapping::kBigFirst,
-                  /*emulate_amp=*/false);
-    for (const i64 count : {i64{0}, i64{1} << 10, i64{1} << 14}) {
-      for (const auto& [label, spec] : specs) {
-        if (count == 0 && spec.kind != sched::ScheduleKind::kStatic)
-          continue;  // empty loop: scheduler choice is irrelevant
-        char config[96];
-        std::snprintf(config, sizeof config,
-                      "threads=%d/count=%lld/sched=%s", nthreads,
-                      static_cast<long long>(count), label);
-        const LatencySamples s = measure(team, count, spec, runs);
-        report(json, config, "roundtrip_ns", s.roundtrip);
-        report(json, config, "dispatch_first_ns", s.dispatch_first);
-        report(json, config, "join_last_ns", s.join_last);
+    // The team's families run on a master thread of their own: the team
+    // pins that thread, so the pin ends with the team and the shard=
+    // threads below start unbound.
+    std::jthread([&] {
+      // No throttling: pure runtime cost, no emulated AMP. The platform
+      // always has at least one core of each type (generic_amp's
+      // contract); the team uses the first `nthreads` of them. Its threads
+      // are bound to those cores when the host has that many CPUs, as
+      // bench/e2e binds its teams: unbound threads of one process were
+      // seen sharing one CPU. An oversubscribed team stays unbound, since
+      // a worker whose core is not a CPU would keep its master's pin.
+      const auto platform = platform::generic_amp(
+          nthreads - nthreads / 2 > 0 ? nthreads - nthreads / 2 : 1,
+          nthreads / 2 > 0 ? nthreads / 2 : 1, 2.0);
+      rt::Team team(platform, nthreads, platform::Mapping::kBigFirst,
+                    /*emulate_amp=*/false,
+                    /*bind_threads=*/nthreads <= cpus);
+      for (const i64 count : {i64{0}, i64{1} << 10, i64{1} << 14}) {
+        for (const auto& [label, spec] : specs) {
+          if (count == 0 && spec.kind != sched::ScheduleKind::kStatic)
+            continue;  // empty loop: scheduler choice is irrelevant
+          char config[96];
+          std::snprintf(config, sizeof config,
+                        "threads=%d/count=%lld/sched=%s", nthreads,
+                        static_cast<long long>(count), label);
+          const LatencySamples s = measure(team, count, spec, runs);
+          report(json, config, "roundtrip_ns", s.roundtrip);
+          report(json, config, "dispatch_first_ns", s.dispatch_first);
+          report(json, config, "join_last_ns", s.join_last);
+        }
       }
-    }
 
-    // Chained vs synchronous K-loop round trips (the loop-pipeline payoff:
-    // K-1 inter-construct barriers traded for nowait flow over the ring).
-    constexpr int kChainLen = 8;
-    for (const i64 count : {i64{256}, i64{1} << 12}) {
-      for (const auto& [label, spec] : specs) {
-        char config[96];
-        std::snprintf(config, sizeof config,
-                      "threads=%d/chain=%d/count=%lld/sched=%s", nthreads,
-                      kChainLen, static_cast<long long>(count), label);
-        const ChainSamples s =
-            measure_chain(team, kChainLen, count, spec, runs);
-        report(json, config, "sync_total_ns", s.sync_total);
-        report(json, config, "chain_total_ns", s.chain_total);
+      // Chained vs synchronous K-loop round trips (the loop-pipeline
+      // payoff: K-1 inter-construct barriers traded for nowait flow over
+      // the ring).
+      constexpr int kChainLen = 8;
+      for (const i64 count : {i64{256}, i64{1} << 12}) {
+        for (const auto& [label, spec] : specs) {
+          char config[96];
+          std::snprintf(config, sizeof config,
+                        "threads=%d/chain=%d/count=%lld/sched=%s", nthreads,
+                        kChainLen, static_cast<long long>(count), label);
+          const ChainSamples s =
+              measure_chain(team, kChainLen, count, spec, runs);
+          report(json, config, "sync_total_ns", s.sync_total);
+          report(json, config, "chain_total_ns", s.chain_total);
+        }
       }
-    }
+
+      // Failure-domain guards: cooperative cancel overshoot (in chunks)
+      // and the watchdog arm/disarm tax on the construct round-trip.
+      report_cancel_family(json, team, nthreads, runs);
+    });
 
     // Steal-heavy pool-level take/steal round-trips (single vs sharded vs
     // the one-shard fallback) plus the local-vs-remote removal ratio.
     report_shard_family(json, nthreads, /*count=*/i64{1} << 12, /*chunk=*/4,
                         runs);
-
-    // Failure-domain guards: cooperative cancel overshoot (in chunks) and
-    // the watchdog arm/disarm tax on the construct round-trip.
-    report_cancel_family(json, team, nthreads, runs);
   }
 
   // GOMP work shares through the generation ring, sync vs nowait (after

@@ -44,12 +44,10 @@ void append_bytes(std::vector<u8>& dst, const std::vector<u8>& src) {
 
 // ---------------------------------------------------------------- plumbing
 
-/// One in-flight wire job: the ticket plus the checksum closure harvested
-/// at delivery. Lives in Conn::jobs keyed by req_id.
-struct PendingJob {
-  serve::JobTicket ticket;
-  std::function<double()> checksum;
-};
+/// A wire job's checksum closure: empty until the dispatcher that runs
+/// the job builds its kernel (workloads::serve_kernel_builder), read by
+/// the loop thread once the ticket resolved.
+using Checksum = std::shared_ptr<std::function<double()>>;
 
 struct IngressServer::Conn {
   int fd = -1;
@@ -62,7 +60,7 @@ struct IngressServer::Conn {
   std::mutex mu;
   bool closed = false;
   std::vector<u8> tx;
-  std::unordered_map<u64, PendingJob> jobs;
+  std::unordered_map<u64, serve::JobTicket> jobs;  ///< in flight, by req_id
 };
 
 /// State shared with completion hooks. Hooks capture shared_ptr<Core> and
@@ -74,7 +72,7 @@ struct IngressServer::Core {
     std::shared_ptr<Conn> conn;
     u64 req_id = 0;
     serve::JobTicket ticket;
-    std::function<double()> checksum;
+    Checksum checksum;
   };
 
   std::mutex mu;  ///< guards completions + stats + tenants
@@ -342,7 +340,7 @@ bool IngressServer::handle_frame(const std::shared_ptr<Conn>& conn,
       {
         const std::scoped_lock lock(conn->mu);
         const auto it = conn->jobs.find(req_id);
-        if (it != conn->jobs.end()) ticket = it->second.ticket;
+        if (it != conn->jobs.end()) ticket = it->second;
       }
       // Unknown req_id: legal race with the terminal frame — ignore.
       if (ticket.valid()) ticket.cancel(CancelReason::kUser);
@@ -396,16 +394,20 @@ bool IngressServer::handle_submit(const std::shared_ptr<Conn>& conn,
   }
 
   std::string error;
-  auto kernel = workloads::make_serve_kernel(m.workload, m.count, &error);
-  if (!kernel.has_value()) return reject(std::move(error), /*no_credit=*/false);
+  if (!workloads::validate_serve_kernel(m.workload, m.count, &error))
+    return reject(std::move(error), /*no_credit=*/false);
 
+  // Validated here, built by the dispatcher that runs the job: this loop
+  // runs no kernel build, and a queued job holds no inputs or slots.
+  const Checksum checksum = std::make_shared<std::function<double()>>();
   serve::JobSpec spec;
   spec.qos = static_cast<serve::QosClass>(m.qos);
-  spec.count = kernel->count;
+  spec.count = m.count;
   spec.sched = sched::ScheduleSpec::make(
       to_schedule_kind(static_cast<WireSched>(m.sched_kind)), m.chunk);
   spec.deadline_ns = m.deadline_ns;
-  spec.body = std::move(kernel->body);
+  spec.make_body =
+      workloads::serve_kernel_builder(std::move(m.workload), m.count, checksum);
 
   // The socket never blocks a dispatcher: admission overload resolves the
   // ticket kRejected immediately (no queue wait, no lease) and surfaces
@@ -416,8 +418,7 @@ bool IngressServer::handle_submit(const std::shared_ptr<Conn>& conn,
 
   {
     const std::scoped_lock lock(conn->mu);
-    conn->jobs.emplace(m.req_id,
-                       PendingJob{ticket, kernel->checksum});
+    conn->jobs.emplace(m.req_id, ticket);
     const std::scoped_lock core_lock(core_->mu);
     ++core_->stats.submits;
     ++core_->tenants[conn->tenant].submits;
@@ -429,8 +430,7 @@ bool IngressServer::handle_submit(const std::shared_ptr<Conn>& conn,
   // (inline reject) finds consistent state. The hook may run under the
   // admission mutex: push + one pipe write, nothing else.
   ticket.on_resolve(
-      [core = core_, conn, req_id = m.req_id, ticket,
-       checksum = kernel->checksum]() mutable {
+      [core = core_, conn, req_id = m.req_id, ticket, checksum]() mutable {
         core->push_completion(
             {conn, req_id, std::move(ticket), std::move(checksum)});
       });
@@ -454,7 +454,7 @@ void IngressServer::drain_completions() {
     switch (r->status) {
       case serve::JobStatus::kDone:
         terminal = CompletedFrame{c.req_id, static_cast<u8>(r->status),
-                                  c.checksum(), r->queue_wait_ns,
+                                  (*c.checksum)(), r->queue_wait_ns,
                                   r->service_ns};
         bucket = &TenantStats::completed;
         break;
@@ -574,7 +574,7 @@ void IngressServer::close_conn(const std::shared_ptr<Conn>& conn) {
     if (conn->closed) return;
     conn->closed = true;
     orphans.reserve(conn->jobs.size());
-    for (auto& [id, job] : conn->jobs) orphans.push_back(job.ticket);
+    for (auto& [id, ticket] : conn->jobs) orphans.push_back(ticket);
     conn->jobs.clear();
     conn->tx.clear();
     ::close(conn->fd);

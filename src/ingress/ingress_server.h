@@ -12,6 +12,14 @@
 // frame — so delivery holds neither the admission mutex nor the
 // connection lock while doing real work.
 //
+// Deferred build: the loop only validates a SUBMIT
+// (workloads::validate_serve_kernel); the dispatcher that runs the job
+// builds its kernel (serve::JobSpec::make_body). So no connection waits
+// for another's kernel build, and a queued job holds no kernel inputs or
+// output slots. Per job, the server keeps the ticket and the checksum
+// closure over the output slots (empty until the build) until its
+// COMPLETED frame is written. COMPLETED's service_ns includes the build.
+//
 // Credit flow control (per connection): HELLO_ACK grants a window of N
 // credits; every SUBMIT consumes one; every terminal frame (COMPLETED /
 // REJECTED / per-request ERROR) is followed by an explicit CREDIT{1}
@@ -30,8 +38,8 @@
 //
 // Trust boundary: every byte a client sends is untrusted. Malformed or
 // unknown-version input is answered with a structured connection-level
-// ERROR frame and a close — never a crash, never an assert (see
-// src/ingress/README.md).
+// ERROR frame and a close — never a crash, never an assert; a SUBMIT the
+// validator refuses is answered REJECTED (see src/ingress/README.md).
 //
 // Lifetime: construct AFTER the ServeNode and destroy BEFORE it (the
 // server borrows the node). The destructor stops the loop, cancels every

@@ -105,7 +105,7 @@ struct HelloAckFrame {
 /// The wire-format job spec: a NAMED workload from the registry plus
 /// parameters — function pointers don't cross a socket (ROADMAP ingress
 /// item), so remote jobs are named computations, validated server-side by
-/// workloads::make_serve_kernel().
+/// workloads::validate_serve_kernel().
 struct SubmitFrame {
   u64 req_id = 0;  ///< client-chosen, unique per connection while in flight
   u8 qos = 0;      ///< serve::QosClass value (validated <= kBatch)

@@ -1,8 +1,9 @@
 // The serving tier's unit of work: one loop (or loop chain) a client asks
 // the shared pool to run, plus the ticket the client waits on.
 //
-// A Job travels: submit → (admission) → queued → dispatched on a class
-// lease → finished; or it short-circuits at admission (rejected by
+// A Job travels: submit → (admission) → queued → dispatched (a deferred
+// body is built here) → run on a class lease → finished; or it
+// short-circuits at admission (rejected by
 // backpressure) or in the queue (deadline expired / user-cancelled before
 // dispatch — the PR 6 CancelToken is the single cancellation channel for
 // both the queued and the running phase, so "cancel" means the same thing
@@ -27,14 +28,20 @@
 
 namespace aid::serve {
 
-/// What a client submits. Either a canonical-range loop (`count` + `body`)
-/// or, when `chain` is set, a pipeline::LoopChain (copied into the job;
-/// the chain's bodies must stay valid until the ticket resolves).
+/// What a client submits. Either a canonical-range loop (`count` plus
+/// exactly one of `body` and `make_body`) or, when `chain` is set, a
+/// pipeline::LoopChain (copied into the job; the chain's bodies must stay
+/// valid until the ticket resolves).
 struct JobSpec {
   QosClass qos = QosClass::kNormal;
   i64 count = 0;
   sched::ScheduleSpec sched;
   rt::RangeBody body;
+  /// A deferred body: the dispatcher that dequeues the job calls it and
+  /// stores the result in `body` before taking a lease, so a queued job
+  /// holds none of the body's state. A throw resolves the job kFailed with
+  /// that exception, and no lease is taken. The build counts as service.
+  std::function<rt::RangeBody()> make_body;
   std::optional<pipeline::LoopChain> chain;
   /// Relative deadline from submission (0 = none). Covers the job's WHOLE
   /// life — queue wait plus service — through one CancelToken: expiry in

@@ -98,8 +98,11 @@ ServeNode::~ServeNode() {
 
 JobTicket ServeNode::submit(JobSpec spec, const SubmitOptions& opts) {
   AID_CHECK_MSG(spec.deadline_ns >= 0, "negative job deadline");
-  if (!spec.chain.has_value()) {
-    AID_CHECK_MSG(spec.body != nullptr, "loop job without a body");
+  if (spec.chain.has_value()) {
+    AID_CHECK_MSG(spec.make_body == nullptr, "chain job with a make_body");
+  } else {
+    AID_CHECK_MSG((spec.body != nullptr) != (spec.make_body != nullptr),
+                  "loop job needs exactly one of body and make_body");
     AID_CHECK_MSG(spec.count >= 0, "negative job trip count");
   }
   auto state = std::make_shared<JobState>(std::move(spec));
@@ -173,6 +176,18 @@ void ServeNode::run_job(JobState& job) {
   const SteadyTimeSource clock;
   const Nanos t0 = clock.now();
   const QosClass cls = job.spec.qos;
+  if (job.spec.make_body != nullptr) {
+    // Built here rather than at submit, so only running jobs hold body
+    // state. The built body stays in the job: nothing is freed on this
+    // path before the ticket resolves.
+    try {
+      job.spec.body = job.spec.make_body();
+    } catch (...) {
+      admission_.finish_run(job, JobStatus::kFailed, clock.now() - t0,
+                            std::current_exception());
+      return;
+    }
+  }
   pool::AppHandle lease = acquire_lease(cls);
 
   JobStatus status = JobStatus::kDone;

@@ -7,6 +7,7 @@
 // of a pool lease belonging to the job's QoS class:
 //
 //   client → submit → [JobQueue ⟶ AdmissionController] → dispatcher
+//          (builds a deferred body, JobSpec::make_body)
 //          → class lease (AppHandle::run_loop / run_chain) → ticket
 //
 // Leases are RECYCLED across jobs of the same class: a dispatcher that

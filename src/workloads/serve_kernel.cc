@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "workloads/kernels.h"
 #include "workloads/workload.h"
@@ -64,11 +65,12 @@ ServeKernel make_ft(i64 count) {
 
 ServeKernel make_cg(i64 count) {
   // NPB CG: CSR SpMV rows of a 2D 5-point Laplacian. The matrix has at
-  // least `count` rows (side^2 >= count); iteration i computes row i.
+  // least `count` rows (side^2 >= count) and a side of at least 2, the
+  // smallest grid laplacian_2d builds; iteration i computes row i.
   const i64 side =
       static_cast<i64>(std::ceil(std::sqrt(static_cast<double>(count))));
   auto a = std::make_shared<kernels::CsrMatrix>(
-      kernels::CsrMatrix::laplacian_2d(std::max<i64>(side, 1)));
+      kernels::CsrMatrix::laplacian_2d(std::max<i64>(side, 2)));
   auto x = std::make_shared<std::vector<double>>();
   x->resize(static_cast<usize>(a->rows));
   for (usize j = 0; j < x->size(); ++j)
@@ -229,16 +231,15 @@ void set_error(std::string* error, std::string msg) {
   if (error != nullptr) *error = std::move(msg);
 }
 
-}  // namespace
-
-std::optional<ServeKernel> make_serve_kernel(std::string_view workload,
-                                             i64 count, std::string* error) {
+/// The servable entry for (workload, count), or nullptr with `error` set.
+const Entry* servable_entry(std::string_view workload, i64 count,
+                            std::string* error) {
   // Registry membership first: an unknown name gets the registry's own
-  // explicit error (satellite: no assert/abort on miss).
+  // explicit error, never an assert or abort.
   std::string lookup_error;
   if (find_workload_or_error(workload, &lookup_error) == nullptr) {
     set_error(error, std::move(lookup_error));
-    return std::nullopt;
+    return nullptr;
   }
   const Entry* entry = nullptr;
   for (const Entry& e : kServable)
@@ -256,15 +257,42 @@ std::optional<ServeKernel> make_serve_kernel(std::string_view workload,
     }
     msg += ')';
     set_error(error, std::move(msg));
-    return std::nullopt;
+    return nullptr;
   }
   if (count < 1 || count > kMaxServeCount) {
     set_error(error, "count " + std::to_string(count) +
                          " outside [1, " + std::to_string(kMaxServeCount) +
                          "]");
-    return std::nullopt;
+    return nullptr;
   }
+  return entry;
+}
+
+}  // namespace
+
+bool validate_serve_kernel(std::string_view workload, i64 count,
+                           std::string* error) {
+  return servable_entry(workload, count, error) != nullptr;
+}
+
+std::optional<ServeKernel> make_serve_kernel(std::string_view workload,
+                                             i64 count, std::string* error) {
+  const Entry* entry = servable_entry(workload, count, error);
+  if (entry == nullptr) return std::nullopt;
   return entry->make(count);
+}
+
+std::function<rt::RangeBody()> serve_kernel_builder(
+    std::string workload, i64 count,
+    std::shared_ptr<std::function<double()>> checksum) {
+  return [workload = std::move(workload), count,
+          checksum = std::move(checksum)] {
+    std::string error;
+    std::optional<ServeKernel> k = make_serve_kernel(workload, count, &error);
+    if (!k.has_value()) throw std::invalid_argument(error);
+    *checksum = std::move(k->checksum);
+    return std::move(k->body);
+  };
 }
 
 const std::vector<std::string>& serve_kernel_names() {

@@ -1,6 +1,7 @@
 // IngressServer/IngressClient integration tests over real AF_UNIX
-// sockets: submit/complete with checksum verification, rejects, credit
-// flow (client blocks, server rejects), disconnect cancellation,
+// sockets: submit/complete with checksum verification, no connection
+// waiting for another's kernel build, rejects, credit flow (client
+// blocks, server rejects), disconnect cancellation,
 // per-tenant stats, protocol-error handling, the non-blocking JobTicket
 // surface, and an out-of-process fork/exec case driving the tools
 // binaries end to end.
@@ -170,6 +171,45 @@ TEST(IngressServerTest, DataParKernelsMatchAcrossTransports) {
         << workload << ": " << sock_r.message;
     EXPECT_EQ(sock_r.checksum, serial) << workload << " over socket";
   }
+}
+
+TEST(IngressServerTest, KernelBuildDoesNotHoldUpOtherConnections) {
+  // Connection A asks for the costliest build a wire job can have, CG's
+  // matrix at the count cap (~150 ms on a 4-CPU host). Connection B's small
+  // EP job, sent right after, must not wait for it: the dispatcher that
+  // runs a job builds its kernel, not the event loop that serves every
+  // connection. Both jobs are normal-class on a 2-dispatcher node, so B
+  // finds a free dispatcher while A's builds.
+  NodeAndServer s("head_of_line");
+  IngressClient a = s.connect("big-build");
+  IngressClient b = s.connect("small-job");
+
+  IngressClient::Request big;
+  big.workload = "CG";
+  big.count = workloads::kMaxServeCount;
+  IngressClient::Request small;
+  small.workload = "EP";
+  small.count = 1024;
+
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point a_sent = Clock::now();
+  const u64 a_id = a.submit(big);
+  ASSERT_NE(a_id, 0u) << a.last_error();
+  const Clock::time_point b_sent = Clock::now();
+  const u64 b_id = b.submit(small);
+  ASSERT_NE(b_id, 0u) << b.last_error();
+  const IngressClient::Result b_r = b.wait(b_id);
+  const Clock::duration b_trip = Clock::now() - b_sent;
+  const IngressClient::Result a_r = a.wait(a_id);
+  const Clock::duration a_trip = Clock::now() - a_sent;
+
+  ASSERT_EQ(a_r.status, JobStatus::kDone) << a_r.message;
+  ASSERT_EQ(b_r.status, JobStatus::kDone) << b_r.message;
+  const auto us = [](Clock::duration d) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
+  };
+  EXPECT_LT(4 * b_trip, a_trip) << "B's round trip " << us(b_trip)
+                                << " us against A's " << us(a_trip) << " us";
 }
 
 TEST(IngressServerTest, UnknownWorkloadAndBadCountAreRejected) {

@@ -1,5 +1,6 @@
 // Serving tier: queue discipline, admission backpressure, in-queue
-// deadline expiry, and per-class stats exactness.
+// deadline expiry, deferred bodies built by the dispatcher, and per-class
+// stats exactness.
 //
 // The backpressure tests run on a 1S+1B machine with one dispatcher and
 // per-class depth/in-flight limits of 1, so dispatch order is fully
@@ -9,6 +10,7 @@
 // as zero lease activity for classes whose jobs never dispatched.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -410,6 +412,90 @@ TEST(ServeNode, FailedJobCapturesExceptionAndNodeSurvives) {
   const ClassStats s = node.class_stats(QosClass::kNormal);
   EXPECT_EQ(s.failed, 1u);
   EXPECT_EQ(s.completed, 1u);
+}
+
+TEST(ServeNode, DeferredBodyIsBuiltOnceByItsDispatcher) {
+  // One dispatcher, held by a gated job: the deferred jobs behind it stay
+  // queued, so none may be built yet.
+  Gate gate;
+  ServeNode::Config cfg = serial_config();
+  cfg.cls[static_cast<usize>(index_of(QosClass::kNormal))].max_queue = 8;
+  ServeNode node(platform::generic_amp(1, 1, 2.0), cfg);
+  auto running = node.submit(gated_job(QosClass::kLatency, gate));
+  while (node.class_stats(QosClass::kLatency).dispatched != 1)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  struct Build {
+    std::atomic<int> builds{0};
+    std::atomic<i64> hits{0};
+    std::thread::id on;  ///< the building thread; read after the ticket
+  };
+  constexpr i64 kCount = 64;
+  std::array<Build, 4> jobs;
+  std::vector<JobTicket> tickets;
+  for (Build& b : jobs) {
+    JobSpec spec;
+    spec.qos = QosClass::kNormal;
+    spec.count = kCount;
+    spec.sched = ScheduleSpec::dynamic(8);
+    spec.make_body = [&b] {
+      b.builds.fetch_add(1, std::memory_order_relaxed);
+      b.on = std::this_thread::get_id();
+      return rt::RangeBody([&b](i64 lo, i64 hi, const rt::WorkerInfo&) {
+        b.hits.fetch_add(hi - lo, std::memory_order_relaxed);
+      });
+    };
+    tickets.push_back(node.submit(std::move(spec)));
+  }
+  ASSERT_EQ(node.queue_depth(QosClass::kNormal), jobs.size());
+  constexpr usize kCancelled = 1;
+  tickets[kCancelled].cancel();
+  for (const Build& b : jobs) EXPECT_EQ(b.builds.load(), 0);
+
+  gate.open_now();
+  EXPECT_EQ(running.wait().status, JobStatus::kDone);
+  for (usize i = 0; i < jobs.size(); ++i) {
+    const JobResult& r = tickets[i].wait();
+    if (i == kCancelled) {
+      EXPECT_EQ(r.status, JobStatus::kCancelled);
+      EXPECT_TRUE(r.never_dispatched);
+      EXPECT_EQ(jobs[i].builds.load(), 0) << "cancelled in the queue";
+      continue;
+    }
+    EXPECT_EQ(r.status, JobStatus::kDone) << "job " << i;
+    EXPECT_EQ(jobs[i].builds.load(), 1) << "job " << i;
+    EXPECT_NE(jobs[i].on, std::this_thread::get_id()) << "job " << i;
+    EXPECT_EQ(jobs[i].hits.load(), kCount) << "job " << i;
+  }
+
+  // A builder that throws fails its job with that exception, before any
+  // lease is taken. A lease taken and handed back would leave
+  // registered_apps as it was, so the class's lease counters are checked
+  // too.
+  node.drain();
+  const int apps_before = node.pool().registered_apps();
+  const ClassStats before = node.class_stats(QosClass::kNormal);
+  JobSpec bad;
+  bad.qos = QosClass::kNormal;
+  bad.count = kCount;
+  bad.make_body = []() -> rt::RangeBody {
+    throw std::runtime_error("inputs unavailable");
+  };
+  auto failed = node.submit(std::move(bad));
+  const JobResult& r = failed.wait();
+  EXPECT_EQ(r.status, JobStatus::kFailed);
+  EXPECT_FALSE(r.never_dispatched);
+  ASSERT_TRUE(r.error != nullptr);
+  try {
+    std::rethrow_exception(r.error);
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "inputs unavailable");
+  }
+  EXPECT_EQ(node.pool().registered_apps(), apps_before);
+  const ClassStats after = node.class_stats(QosClass::kNormal);
+  EXPECT_EQ(after.lease_registered, before.lease_registered);
+  EXPECT_EQ(after.lease_reused, before.lease_reused);
+  EXPECT_EQ(after.failed, before.failed + 1);
 }
 
 TEST(ServeNode, ChainJobRunsThroughTheTier) {

@@ -4,8 +4,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "workloads/kernels.h"
+#include "workloads/serve_kernel.h"
 #include "workloads/workload.h"
 
 namespace aid::workloads {
@@ -276,6 +282,51 @@ TEST(Registry, BtAndCgHaveThirtyLoopsForFig2) {
     const auto model = find_workload(name)->model(p);
     EXPECT_EQ(model.num_loop_phases(), 30) << name;
   }
+}
+
+// ----------------------------------------------------------- serve kernels
+
+TEST(ServeKernels, ValidatorAgreesWithTheBuilder) {
+  // The ingress checks a SUBMIT with validate_serve_kernel and the
+  // dispatcher builds it later with make_serve_kernel: both must give the
+  // same verdict and the same error text.
+  std::vector<std::string> names = serve_kernel_names();
+  names.emplace_back("BT");  // a registry workload with no serve kernel
+  names.emplace_back("no-such-workload");
+  for (const std::string& name : names) {
+    const bool servable = name != "BT" && name != "no-such-workload";
+    for (const i64 count : {i64{0}, i64{1}, kMaxServeCount + 1}) {
+      std::string checked = "(unset)";
+      std::string built = "(unset)";
+      const bool valid = validate_serve_kernel(name, count, &checked);
+      const bool made = make_serve_kernel(name, count, &built).has_value();
+      EXPECT_EQ(valid, servable && count == 1) << name << " count " << count;
+      EXPECT_EQ(valid, made) << name << " count " << count;
+      EXPECT_EQ(checked, built) << name << " count " << count;
+    }
+  }
+}
+
+TEST(ServeKernels, BuilderBuildsOnCallAndKeepsTheChecksum) {
+  constexpr i64 kCount = 1000;
+  auto checksum = std::make_shared<std::function<double()>>();
+  const std::function<rt::RangeBody()> make_body =
+      serve_kernel_builder("CG", kCount, checksum);
+  EXPECT_FALSE(*checksum) << "nothing is built before the call";
+  const rt::RangeBody body = make_body();
+  ASSERT_TRUE(*checksum);
+  body(0, kCount, rt::WorkerInfo{});
+
+  std::string error;
+  auto serial = make_serve_kernel("CG", kCount, &error);
+  ASSERT_TRUE(serial.has_value()) << error;
+  serial->body(0, kCount, rt::WorkerInfo{});
+  EXPECT_EQ((*checksum)(), serial->checksum());
+
+  // Parameters that do not validate throw the validator's error.
+  const std::function<rt::RangeBody()> bad =
+      serve_kernel_builder("EP", 0, checksum);
+  EXPECT_THROW((void)bad(), std::invalid_argument);
 }
 
 TEST(Profiles, EveryModelBuildsOnBothPlatforms) {
