@@ -1,6 +1,6 @@
-// Ablation study backing DESIGN.md's design-choice claims — compares AID
-// against the related-work baselines the paper cites (Sec. 3) and against
-// crippled variants of itself, on Platform A:
+// Ablation study of AID's design choices — compares AID against the
+// related-work baselines the paper cites (Sec. 3) and against crippled
+// variants of itself, on Platform A:
 //
 //   trapezoid (Tzen & Ni '93 [46])      — decreasing chunks, asymmetry-blind
 //   weighted-factoring (Hummel '96 [21]) — fixed nominal weights, no

@@ -60,7 +60,6 @@ int main() {
       << "KNOWN DEVIATION: this reproduction does NOT recover the paper's "
          "guided collapse.\nWith decaying chunks a small core can never "
          "accumulate more than an even share of a loop,\nso first-principles "
-         "stranding cannot produce a 44% loss against static; see "
-         "EXPERIMENTS.md\nfor the full discussion and hypotheses.\n";
+         "stranding cannot produce a 44% loss against static.\n";
   return 0;
 }

@@ -1,7 +1,6 @@
 // Real-thread multi-application bench on the shared worker pool
 // (src/pool/): the Sec. 4.3 / Sec. 5C scenario executed with actual
-// threads rather than the simulator (contrast bench_multiapp_partitioning,
-// which models the same scenario analytically).
+// threads.
 //
 // Two co-running "applications" (threads of this process) execute a fixed
 // batch of data-parallel loops each, either on

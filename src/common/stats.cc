@@ -1,6 +1,5 @@
 #include "common/stats.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -23,58 +22,6 @@ double gmean(std::span<const double> xs) {
   }
   return std::exp(log_sum / static_cast<double>(xs.size()));
 }
-
-double stdev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double ss = 0.0;
-  for (double x : xs) ss += (x - m) * (x - m);
-  return std::sqrt(ss / static_cast<double>(xs.size() - 1));
-}
-
-double median(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  const usize n = v.size();
-  return (n % 2 == 1) ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-double min(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return *std::max_element(xs.begin(), xs.end());
-}
-
-double cov(std::span<const double> xs) {
-  const double m = mean(xs);
-  return m == 0.0 ? 0.0 : stdev(xs) / m;
-}
-
-std::vector<double> normalize(std::span<const double> xs, double base) {
-  AID_CHECK_MSG(base != 0.0, "normalize: zero baseline");
-  std::vector<double> out;
-  out.reserve(xs.size());
-  for (double x : xs) out.push_back(x / base);
-  return out;
-}
-
-void Welford::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double Welford::variance() const {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double Welford::stdev() const { return std::sqrt(variance()); }
 
 double paper_protocol_time(std::span<const double> run_times) {
   AID_CHECK_MSG(run_times.size() >= 2,

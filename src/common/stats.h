@@ -6,9 +6,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
-
-#include "common/types.h"
 
 namespace aid::stats {
 
@@ -17,38 +14,6 @@ namespace aid::stats {
 
 /// Geometric mean; requires all elements > 0. 0 for an empty input.
 [[nodiscard]] double gmean(std::span<const double> xs);
-
-/// Sample standard deviation (n-1 denominator); 0 when n < 2.
-[[nodiscard]] double stdev(std::span<const double> xs);
-
-/// Median (averages the two central elements for even n); 0 when empty.
-[[nodiscard]] double median(std::span<const double> xs);
-
-[[nodiscard]] double min(std::span<const double> xs);
-[[nodiscard]] double max(std::span<const double> xs);
-
-/// Coefficient of variation (stdev/mean); 0 when mean == 0.
-[[nodiscard]] double cov(std::span<const double> xs);
-
-/// Element-wise xs[i]/base. Requires base != 0.
-[[nodiscard]] std::vector<double> normalize(std::span<const double> xs,
-                                            double base);
-
-/// Streaming mean/variance accumulator (Welford). Numerically stable and
-/// allocation-free, suitable for per-thread accounting on the hot path.
-class Welford {
- public:
-  void add(double x);
-  [[nodiscard]] i64 count() const { return n_; }
-  [[nodiscard]] double mean() const { return mean_; }
-  [[nodiscard]] double variance() const;  ///< sample variance; 0 when n < 2
-  [[nodiscard]] double stdev() const;
-
- private:
-  i64 n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
 
 /// The paper's repetition protocol: drop the first element (warm-up run that
 /// pages in input data), return the geometric mean of the rest. Requires at

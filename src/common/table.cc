@@ -60,19 +60,6 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& r : rows_) emit(r);
 }
 
-void TextTable::print_csv(std::ostream& os) const {
-  const auto emit = [&](const std::vector<std::string>& cells) {
-    for (usize c = 0; c < cells.size(); ++c) {
-      AID_CHECK_MSG(cells[c].find(',') == std::string::npos,
-                    "CSV cells must not contain commas");
-      os << cells[c] << (c + 1 < cells.size() ? "," : "");
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& r : rows_) emit(r);
-}
-
 std::string ascii_bar(double value, double max_value, int max_width) {
   if (max_value <= 0.0 || value <= 0.0 || max_width <= 0) return "";
   const double frac = std::min(1.0, value / max_value);

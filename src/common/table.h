@@ -1,8 +1,7 @@
-// Plain-text table and CSV emission for the figure/table harnesses.
+// Plain-text tables for the figure/table harnesses.
 //
 // Every bench binary prints the same rows/series the paper reports; this
-// module keeps the formatting uniform (fixed-width aligned columns, optional
-// CSV mirror for plotting).
+// module keeps the formatting uniform (fixed-width aligned columns).
 #pragma once
 
 #include <iosfwd>
@@ -25,20 +24,8 @@ class TextTable {
   TextTable& cell(double value, int precision = 3);
   TextTable& cell(i64 value);
 
-  [[nodiscard]] usize num_rows() const { return rows_.size(); }
-  [[nodiscard]] const std::vector<std::string>& header() const {
-    return header_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::string>>& rows() const {
-    return rows_;
-  }
-
   /// Render with columns padded to their widest cell.
   void print(std::ostream& os) const;
-
-  /// CSV rendering (no quoting needed: cells never contain commas here,
-  /// enforced with a check).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

@@ -60,10 +60,4 @@ void print_figure(std::ostream& os, const FigureData& data,
   os << '\n';
 }
 
-void print_geomean_row(std::ostream& os, const FigureData& data) {
-  for (usize c = 0; c < data.config_labels.size(); ++c)
-    os << data.config_labels[c] << "=" << format_double(column_geomean(data, c), 3)
-       << (c + 1 < data.config_labels.size() ? "  " : "\n");
-}
-
 }  // namespace aid::harness

@@ -13,9 +13,6 @@ namespace aid::harness {
 void print_figure(std::ostream& os, const FigureData& data,
                   const std::string& title);
 
-/// Print the per-config geomean row only (used in sweeps).
-void print_geomean_row(std::ostream& os, const FigureData& data);
-
 /// Geomean of one config column across all apps.
 [[nodiscard]] double column_geomean(const FigureData& data, usize config);
 

@@ -55,20 +55,6 @@ class LoopChain {
     return add(count, spec, std::move(body), dep);
   }
 
-  /// Per-iteration convenience over a user iteration space (mirrors
-  /// Team::parallel_for); the canonical-range body is synthesized here.
-  template <typename F>
-  int add_for(i64 start, i64 end, i64 step, const sched::ScheduleSpec& spec,
-              F&& f, int depends_on = -1) {
-    const sched::IterationSpace space(start, end, step);
-    return add(space.count(), spec,
-               [space, f = std::forward<F>(f)](i64 b, i64 e,
-                                               const rt::WorkerInfo& w) {
-                 for (i64 c = b; c < e; ++c) f(space.value_of(c), w);
-               },
-               depends_on);
-  }
-
   /// Bind a cancellation token and/or per-entry deadline to every entry
   /// that does not already name its own (the hook behind
   /// Runtime::run_chain's cancel/deadline overload): one token reaches
@@ -81,7 +67,6 @@ class LoopChain {
   }
   [[nodiscard]] usize size() const { return loops_.size(); }
   [[nodiscard]] bool empty() const { return loops_.empty(); }
-  void clear() { loops_.clear(); }
 
  private:
   std::vector<ChainedLoop> loops_;

@@ -58,8 +58,7 @@ Platform Platform::subset(const std::vector<int>& count_per_type,
                 "subset needs one count per core type");
   std::vector<CoreCluster> kept;
   for (usize t = 0; t < clusters_.size(); ++t) {
-    // Same diagnostic style as TeamLayout's explicit allotment: say which
-    // per-type count is infeasible and against what bound.
+    // Say which per-type count is infeasible and against what bound.
     AID_CHECK_MSG(count_per_type[t] >= 0 && count_per_type[t] <= clusters_[t].count,
                   ("subset: count " + std::to_string(count_per_type[t]) +
                    " for type " + std::to_string(t) + " (" + clusters_[t].name +
@@ -163,9 +162,12 @@ std::optional<Platform> parse_platform(std::string_view text) {
 
   if (head == "odroid-xu4" || head == "platform-a") return odroid_xu4();
   if (head == "xeon-amp" || head == "platform-b") return xeon_emulated_amp();
+  // Per-type core counts are bounded before they narrow to int, so an
+  // out-of-range count is rejected rather than wrapped to a small one.
+  constexpr i64 kMaxCores = 4096;
   if (head == "symmetric") {
     const auto n = env::parse_int(args);
-    if (!n || *n < 1 || *n > 4096) return std::nullopt;
+    if (!n || *n < 1 || *n > kMaxCores) return std::nullopt;
     return symmetric(static_cast<int>(*n));
   }
   if (head == "generic") {
@@ -174,7 +176,8 @@ std::optional<Platform> parse_platform(std::string_view text) {
     const auto ns = env::parse_int(parts[0]);
     const auto nb = env::parse_int(parts[1]);
     const auto speed = env::parse_double(parts[2]);
-    if (!ns || !nb || !speed || *ns < 1 || *nb < 1 || *speed < 1.0)
+    if (!ns || !nb || !speed || *ns < 1 || *nb < 1 || *ns > kMaxCores ||
+        *nb > kMaxCores || *speed < 1.0)
       return std::nullopt;
     return generic_amp(static_cast<int>(*ns), static_cast<int>(*nb), *speed);
   }

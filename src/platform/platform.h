@@ -86,8 +86,6 @@ class Platform {
   /// Nominal big-to-small speed ratio: fastest cluster speed / slowest.
   [[nodiscard]] double nominal_asymmetry() const;
 
-  [[nodiscard]] bool is_symmetric() const { return clusters_.size() == 1; }
-
   /// A derived platform keeping `count_per_type[t]` cores of each type
   /// (e.g. the paper's 2B-2S configuration of the Odroid). Types whose count
   /// drops to zero are removed; speeds are re-normalized to the new slowest.

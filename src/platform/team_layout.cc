@@ -1,7 +1,6 @@
 #include "platform/team_layout.h"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 
 #include "common/check.h"
@@ -27,50 +26,6 @@ TeamLayout::TeamLayout(const Platform& platform, int nthreads, Mapping mapping)
     const int core = mapping == Mapping::kSmallFirst
                          ? tid
                          : platform.num_cores() - 1 - tid;
-    const int type = platform.core_type_of(core);
-    core_of_[static_cast<usize>(tid)] = core;
-    core_type_of_[static_cast<usize>(tid)] = type;
-    speed_of_[static_cast<usize>(tid)] = platform.speed_of_type(type);
-    ++threads_of_type_[static_cast<usize>(type)];
-  }
-}
-
-TeamLayout::TeamLayout(const Platform& platform, int nthreads,
-                       int threads_on_big)
-    : mapping_(Mapping::kBigFirst) {
-  AID_CHECK_MSG(nthreads >= 1, "team needs at least one thread");
-  AID_CHECK_MSG(nthreads <= platform.num_cores(), "oversubscription");
-  const int big_type = platform.num_core_types() - 1;
-  const int big_cores = platform.cores_of_type(big_type);
-  // Two distinct ways an explicit allotment can be infeasible; report which
-  // constraint failed and with what values, not a bare check.
-  AID_CHECK_MSG(threads_on_big >= 0 && threads_on_big <= big_cores,
-                ("explicit allotment: threads_on_big=" +
-                 std::to_string(threads_on_big) +
-                 " outside [0, big-cluster size " +
-                 std::to_string(big_cores) + "]")
-                    .c_str());
-  const int leftover = nthreads - threads_on_big;
-  const int non_big_cores = platform.num_cores() - big_cores;
-  AID_CHECK_MSG(leftover <= non_big_cores,
-                ("explicit allotment: " + std::to_string(leftover) +
-                 " leftover thread(s) (nthreads=" + std::to_string(nthreads) +
-                 " - threads_on_big=" + std::to_string(threads_on_big) +
-                 ") do not fit on the " + std::to_string(non_big_cores) +
-                 " core(s) outside the big cluster")
-                    .c_str());
-
-  core_of_.resize(static_cast<usize>(nthreads));
-  core_type_of_.resize(static_cast<usize>(nthreads));
-  speed_of_.resize(static_cast<usize>(nthreads));
-  threads_of_type_.assign(static_cast<usize>(platform.num_core_types()), 0);
-  for (const auto& c : platform.clusters()) type_names_.push_back(c.name);
-
-  for (int tid = 0; tid < nthreads; ++tid) {
-    // Sec. 4.3 convention: low tids descend from the top core id (big);
-    // the rest ascend from core 0 (small).
-    const int core = tid < threads_on_big ? platform.num_cores() - 1 - tid
-                                          : tid - threads_on_big;
     const int type = platform.core_type_of(core);
     core_of_[static_cast<usize>(tid)] = core;
     core_type_of_[static_cast<usize>(tid)] = type;
@@ -161,22 +116,6 @@ std::string TeamLayout::describe() const {
        << ")\n";
   }
   return os.str();
-}
-
-bool parse_mapping(const std::string& text, Mapping& out) {
-  std::string t;
-  t.reserve(text.size());
-  for (char c : text)
-    t.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (t == "sb" || t == "small-first" || t == "smallfirst") {
-    out = Mapping::kSmallFirst;
-    return true;
-  }
-  if (t == "bs" || t == "big-first" || t == "bigfirst") {
-    out = Mapping::kBigFirst;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace aid::platform

@@ -32,13 +32,6 @@ class TeamLayout {
   /// matching the paper's assumption (ii) in Sec. 4.2) to cores.
   TeamLayout(const Platform& platform, int nthreads, Mapping mapping);
 
-  /// Explicit allotment (the OS-coordination protocol of Sec. 4.3): thread
-  /// ids [0, threads_on_big) occupy the fastest cores in descending core-id
-  /// order; the remaining threads occupy the slowest cores ascending.
-  /// `threads_on_big` must not exceed the fastest cluster's size, and the
-  /// leftover threads must fit on the remaining cores.
-  TeamLayout(const Platform& platform, int nthreads, int threads_on_big);
-
   /// Re-layout over an explicit set of platform core ids — the pool
   /// manager's partition view (src/pool/): an app leases an arbitrary
   /// subset of the machine's cores and threads are assigned to exactly
@@ -87,9 +80,5 @@ class TeamLayout {
   std::vector<int> threads_of_type_;
   std::vector<std::string> type_names_;
 };
-
-/// Parse a mapping name ("SB"/"sb"/"small-first" or "BS"/"bs"/"big-first").
-/// Returns true and writes `out` on success.
-[[nodiscard]] bool parse_mapping(const std::string& text, Mapping& out);
 
 }  // namespace aid::platform

@@ -4,6 +4,7 @@
 #include <exception>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "common/time_source.h"
 #include "pipeline/loop_chain.h"
 #include "rt/runtime.h"
@@ -110,12 +111,6 @@ AppAllotment AppHandle::allotment() const {
   return {snapshot.nb(), snapshot.ns()};
 }
 
-const rt::SharedAllotment& AppHandle::shared() const {
-  AID_CHECK_MSG(mgr_ != nullptr, "shared() on a released app lease");
-  std::scoped_lock lk(mgr_->mutex_);
-  return *mgr_->app_of(id_).shared;
-}
-
 sched::SchedulerStats AppHandle::last_loop_stats() const {
   AID_CHECK_MSG(mgr_ != nullptr, "stats on a released app lease");
   std::scoped_lock lk(mgr_->mutex_);
@@ -148,7 +143,10 @@ PoolManager& PoolManager::instance() {
     // The policy travels through RuntimeConfig as an opaque name (rt/ does
     // not depend on pool/); unparsable values fall back to the default,
     // libgomp-style.
-    (void)parse_policy(rc.pool_policy, c.policy);
+    if (!parse_policy(rc.pool_policy, c.policy))
+      env::warn_once_ignored(
+          "AID_POOL_POLICY", rc.pool_policy,
+          "one of equal-share | big-core-priority | proportional");
     c.emulate_amp = rc.emulate_amp;
     c.bind_threads = rc.bind_threads;
     c.sf_cpu_time = rc.sf_cpu_time;
@@ -193,13 +191,11 @@ AppHandle PoolManager::register_app(std::string name, double weight) {
   app->weight = weight;
   app->cache = std::make_unique<sched::SchedulerCache>();
   if (retired_.empty()) {
-    app->shared = std::make_unique<rt::SharedAllotment>();
     app->job = std::make_unique<rt::PoolJob>();
   } else {
-    // Recycle a retired app's externally-referenced state (quiescent by
-    // now: its unregister required no loop in flight).
-    app->shared = std::move(retired_.back().shared);
-    app->job = std::move(retired_.back().job);
+    // Recycle a retired app's job (quiescent by now: its unregister
+    // required no loop in flight).
+    app->job = std::move(retired_.back());
     retired_.pop_back();
   }
   apps_.emplace(id, std::move(app));
@@ -215,9 +211,8 @@ void PoolManager::unregister(u64 id) {
   AID_CHECK_MSG(!a.in_loop && a.region_depth == 0,
                 "app lease released with a loop or region in flight");
   // Workers may still touch the job's completion words briefly after the
-  // app's last join, and observers may hold a shared() reference past
-  // release; park both for recycling instead of freeing.
-  retired_.push_back({std::move(a.shared), std::move(a.job)});
+  // app's last join; park it for recycling instead of freeing.
+  retired_.push_back(std::move(a.job));
   apps_.erase(id);
   if (!apps_.empty()) compute_targets();
   commit_idle();
@@ -338,9 +333,7 @@ void PoolManager::adopt(App& app) {
   // thread count and shard topology. Idle instances die now; in-flight
   // ones (a chain committing between ring entries) die on their release.
   app.cache->invalidate();
-  ++allotment_epoch_;
   targets_epoch_.fetch_add(1, std::memory_order_release);
-  app.shared->publish({app.layout->nb(), allotment_epoch_});
 }
 
 void PoolManager::commit_idle() {

@@ -10,17 +10,14 @@
 // new allotment at a loop boundary (or immediately while idle). Execution
 // runs on the runtime's dispatch engine (rt/worker_pool.h, shared with
 // rt::Team): a revoked core involves no thread teardown — its worker just
-// stops receiving that app's jobs.
-//
-// The Sec. 4.3 shared-region view is exposed per app: a SharedAllotment
-// (rt/os_bridge.h seqlock) that the manager publishes {threads_on_big}
-// into on every adoption, so external observers poll placement lock-free
-// exactly as they would poll a kernel shared page.
+// stops receiving that app's jobs. Each lease reads its layout from the
+// manager directly; AppHandle::allotment() is the live {big, small} view.
 //
 // See src/pool/README.md for the design note (arbitration policies and
 // the revoke-at-loop-boundary invariant).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -32,7 +29,6 @@
 #include "platform/platform.h"
 #include "platform/team_layout.h"
 #include "pool/policy.h"
-#include "rt/os_bridge.h"
 #include "rt/watchdog.h"
 #include "rt/worker_pool.h"
 #include "sched/schedule_spec.h"
@@ -46,7 +42,8 @@ namespace aid::pool {
 
 class PoolManager;
 
-/// Per-app {big, small} thread counts — the Sec. 4.3 shared-region view.
+/// Per-app {big, small} thread counts — what the paper's Sec. 4.3 shared
+/// region would tell the runtime.
 struct AppAllotment {
   int threads_on_big = 0;
   int threads_on_small = 0;
@@ -122,8 +119,6 @@ class AppHandle {
   [[nodiscard]] platform::TeamLayout layout() const;
   /// {threads_on_big, threads_on_small} of the current partition.
   [[nodiscard]] AppAllotment allotment() const;
-  /// Lock-free Sec. 4.3 shared-region view (epoch bumps on repartition).
-  [[nodiscard]] const rt::SharedAllotment& shared() const;
   [[nodiscard]] sched::SchedulerStats last_loop_stats() const;
   /// Cumulative constructs + wall time this lease has executed (see
   /// LeaseStats). Monotonic; survives repartitions and policy changes.
@@ -229,13 +224,9 @@ class PoolManager {
     /// Per-shape scheduler cache for this lease; invalidated in adopt()
     /// whenever the partition actually moves.
     std::unique_ptr<sched::SchedulerCache> cache;
-    // Externally-referenced state (workers touch the job's completion
-    // words briefly after the app's last join; observers may hold a
-    // shared() reference past release). Recycled through retired_ on
-    // unregister, never freed before the manager — so a stale shared()
-    // reference reads a recycled seqlock (possibly a later app's
-    // allotment, epochs still monotonic), not freed memory.
-    std::unique_ptr<rt::SharedAllotment> shared;
+    // Workers touch the job's completion words briefly after the app's
+    // last join, so it is recycled through retired_ on unregister, never
+    // freed before the manager.
     std::unique_ptr<rt::PoolJob> job;
     sched::SchedulerStats last_stats;
     LeaseStats lease_stats;  ///< accumulated at every construct's exit
@@ -244,13 +235,6 @@ class PoolManager {
     /// each construct's entry (under mutex_, before anything is
     /// published), so one cancel kills at most one construct.
     CancelToken cancel_token;
-  };
-
-  /// Recycled externally-referenced state (see App); bounds allocation at
-  /// the peak concurrent app count under register/release churn.
-  struct Retired {
-    std::unique_ptr<rt::SharedAllotment> shared;
-    std::unique_ptr<rt::PoolJob> job;
   };
 
   App& app_of(u64 id);
@@ -262,8 +246,8 @@ class PoolManager {
   /// Would adopt() change this app's partition right now? (mutex held;
   /// the chain executor's mid-chain commit probe).
   [[nodiscard]] bool can_adopt_now(const App& app) const;
-  /// current := pending minus cores held by others; rebuild layout and
-  /// publish the shared allotment when it changed (mutex held).
+  /// current := pending minus cores held by others; rebuild the layout
+  /// when it changed (mutex held).
   void adopt(App& app);
   /// Fixpoint adoption over all idle, region-free apps (mutex held):
   /// shrinks free cores, which lets subsequent grows succeed.
@@ -294,7 +278,9 @@ class PoolManager {
   // word can still be in flight when the master's wait returns) — freeing
   // the job before the join is a use-after-free the CI tsan leg catches.
   std::map<u64, std::unique_ptr<App>> apps_;  // keyed by registration order
-  std::vector<Retired> retired_;
+  /// Recycled jobs (see App); bounds allocation at the peak concurrent
+  /// app count under register/release churn.
+  std::vector<std::unique_ptr<rt::PoolJob>> retired_;
   rt::WorkerPool pool_;
   /// Deadline watchdog shared by every lease (lazy thread; armed only for
   /// deadline'd specs). Declared after pool_ so it is destroyed FIRST:
@@ -302,7 +288,6 @@ class PoolManager {
   /// which outlive it (apps_/retired_ are destroyed after pool_).
   rt::Watchdog watchdog_;
   u64 next_id_ = 1;
-  u64 allotment_epoch_ = 0;  ///< bumps on every adoption that changed cores
   /// Bumps (under mutex_) whenever targets are recomputed or any app's
   /// partition moves — everything that can change can_adopt_now() for
   /// anybody. Lets the chain hook's per-entry commit probe stay lock-free

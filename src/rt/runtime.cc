@@ -1,5 +1,7 @@
 #include "rt/runtime.h"
 
+#include <cmath>
+
 #include "common/check.h"
 #include "common/env.h"
 #include "pipeline/loop_chain.h"
@@ -10,6 +12,9 @@ namespace aid::rt {
 platform::Platform platform_from_env() {
   if (const auto text = env::get("AID_PLATFORM")) {
     if (auto p = platform::parse_platform(*text)) return std::move(*p);
+    env::warn_once_ignored(
+        "AID_PLATFORM", *text,
+        "odroid-xu4 | xeon-amp | symmetric:N | generic:NS,NB,SPEED");
   }
   return platform::odroid_xu4();
 }
@@ -31,11 +36,31 @@ Runtime::Runtime(platform::Platform platform, RuntimeConfig config)
         "per process); isolated pool runtimes on a different platform are "
         "unsupported — construct with platform_from_env() or use "
         "pool::PoolManager directly");
+    // The arbiter divides cores by weight, so only a finite positive one
+    // is usable; anything else gets the default share.
+    double weight = env::get_double("AID_POOL_WEIGHT", 1.0);
+    if (!(std::isfinite(weight) && weight > 0.0)) {
+      env::warn_once_ignored("AID_POOL_WEIGHT",
+                             env::get_string("AID_POOL_WEIGHT", ""),
+                             "a finite number > 0");
+      weight = 1.0;
+    }
     lease_ = std::make_unique<pool::AppHandle>(mgr.register_app(
-        env::get_string("AID_POOL_APP", "runtime"),
-        env::get_double("AID_POOL_WEIGHT", 1.0)));
+        env::get_string("AID_POOL_APP", "runtime"), weight));
     platform_ = mgr.platform();
+    // Report the policy the manager runs, not an unparsable name it fell
+    // back from.
+    config_.pool_policy = pool::to_string(mgr.policy());
   } else {
+    // A team larger than the platform cannot be laid out; fall back to one
+    // thread per core, as an unparsable AID_NUM_THREADS does.
+    if (config_.num_threads > platform_.num_cores()) {
+      env::warn_once_ignored(
+          "AID_NUM_THREADS", std::to_string(config_.num_threads),
+          "at most " + std::to_string(platform_.num_cores()) +
+              ", the platform's core count");
+      config_.num_threads = 0;
+    }
     team_ = std::make_unique<Team>(platform_, config_.num_threads,
                                    config_.mapping, config_.emulate_amp,
                                    config_.bind_threads, config_.sf_cpu_time);

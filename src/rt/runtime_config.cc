@@ -30,10 +30,6 @@ RuntimeConfig RuntimeConfig::from_env() {
   // on (threads 0..NB-1 on big cores).
   if (env::get_bool("AID_AMP_AFFINITY", false))
     cfg.mapping = platform::Mapping::kBigFirst;
-  if (const auto text = env::get("AID_MAPPING")) {
-    platform::Mapping m{};
-    if (platform::parse_mapping(*text, m)) cfg.mapping = m;
-  }
 
   cfg.emulate_amp = env::get_bool("AID_EMULATE_AMP", true);
   cfg.bind_threads = env::get_bool("AID_BIND_THREADS", false);

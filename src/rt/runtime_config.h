@@ -8,12 +8,13 @@
 //                       "aid-static", "aid-hybrid,1,80", "aid-dynamic,1,5".
 //                       Loops executed without an explicit ScheduleSpec use
 //                       this value. Default: "static" (the libgomp default).
-//   AID_NUM_THREADS   — team size. Default: all cores of the platform.
+//   AID_NUM_THREADS   — team size. Default: all cores of the platform,
+//                       which is also what a value above the platform's
+//                       core count gets (with a warning).
 //   AID_AMP_AFFINITY  — GOMP_AMP_AFFINITY analog: when set (truthy), the
 //                       runtime binds threads so that the lowest thread ids
 //                       sit on the big cores (the BS mapping AID assumes,
 //                       Sec. 4.3). When unset, SB is used.
-//   AID_MAPPING       — explicit override: "SB" or "BS".
 //   AID_EMULATE_AMP   — duty-cycle emulation of small cores on a symmetric
 //                       host (see rt/throttle.h). Default: on, because the
 //                       build machine is symmetric; set to 0 on real AMPs.
@@ -26,8 +27,8 @@
 //                       runtimes/apps in one process share a single worker
 //                       pool with per-app core partitions (Sec. 4.3 / 5C).
 //                       Partition sizing then belongs to the arbiter:
-//                       AID_NUM_THREADS and AID_MAPPING do not apply, and
-//                       the runtime reports the pool's platform.
+//                       AID_NUM_THREADS and AID_AMP_AFFINITY do not apply,
+//                       and the runtime reports the pool's platform.
 //   AID_POOL_POLICY   — pool arbitration policy: "equal" (default),
 //                       "big-priority", or "proportional".
 #pragma once
@@ -53,7 +54,7 @@ struct RuntimeConfig {
   std::string pool_policy = "equal-share";
 
   /// Read the AID_* variables; unparsable values fall back to defaults
-  /// (libgomp-style forgiveness), reported through `warnings`.
+  /// (libgomp-style forgiveness) with a warning on stderr.
   static RuntimeConfig from_env();
 
   [[nodiscard]] std::string describe() const;

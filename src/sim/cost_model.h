@@ -10,7 +10,6 @@
 // the simulation then scales with scheduler interactions, not iterations.
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -141,20 +140,6 @@ class TableCostModel final : public CostModel {
  private:
   std::vector<double> prefix_;
   std::vector<double> sf_;
-};
-
-/// Adapter for tests: wrap an arbitrary callable (O(n) range cost).
-class FnCostModel final : public CostModel {
- public:
-  using Fn = std::function<Nanos(i64 iter, int core_type)>;
-  explicit FnCostModel(Fn fn) : fn_(std::move(fn)) {}
-
-  [[nodiscard]] Nanos iter_cost(i64 iter, int core_type) const override {
-    return fn_(iter, core_type);
-  }
-
- private:
-  Fn fn_;
 };
 
 }  // namespace aid::sim

@@ -1,8 +1,8 @@
 // Deterministic discrete-event execution of one parallel loop.
 //
-// This is the substitution for the paper's AMP hardware (see DESIGN.md §3):
-// the *actual* scheduler implementations from src/sched run unmodified, but
-// each worker is a simulated entity with its own virtual clock. The engine
+// This is the substitution for the paper's AMP hardware: the *actual*
+// scheduler implementations from src/sched run unmodified, but each worker
+// is a simulated entity with its own virtual clock. The engine
 // repeatedly wakes the worker with the smallest clock (ties by thread id),
 // lets it perform one next() call — charged per the OverheadModel — and, if
 // it received iterations, advances its clock by the modelled execution time

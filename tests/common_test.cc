@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "common/env.h"
 #include "common/rng.h"
@@ -12,48 +13,22 @@
 namespace aid {
 namespace {
 
-TEST(Stats, MeanGmeanMedian) {
+TEST(Stats, MeanAndGmean) {
   const std::vector<double> xs{1.0, 2.0, 4.0};
   EXPECT_DOUBLE_EQ(stats::mean(xs), 7.0 / 3.0);
   EXPECT_DOUBLE_EQ(stats::gmean(xs), 2.0);
-  EXPECT_DOUBLE_EQ(stats::median(xs), 2.0);
-  const std::vector<double> even{1.0, 2.0, 3.0, 10.0};
-  EXPECT_DOUBLE_EQ(stats::median(even), 2.5);
 }
 
 TEST(Stats, EmptyInputsAreZero) {
   const std::vector<double> xs;
   EXPECT_DOUBLE_EQ(stats::mean(xs), 0.0);
   EXPECT_DOUBLE_EQ(stats::gmean(xs), 0.0);
-  EXPECT_DOUBLE_EQ(stats::median(xs), 0.0);
-  EXPECT_DOUBLE_EQ(stats::stdev(xs), 0.0);
-}
-
-TEST(Stats, Stdev) {
-  const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_NEAR(stats::stdev(xs), 2.138, 1e-3);
-}
-
-TEST(Stats, WelfordMatchesBatch) {
-  const std::vector<double> xs{3.1, 4.1, 5.9, 2.6, 5.3};
-  stats::Welford w;
-  for (double x : xs) w.add(x);
-  EXPECT_EQ(w.count(), 5);
-  EXPECT_NEAR(w.mean(), stats::mean(xs), 1e-12);
-  EXPECT_NEAR(w.stdev(), stats::stdev(xs), 1e-12);
 }
 
 TEST(Stats, PaperProtocolDiscardsWarmup) {
   // Warm-up run is 100x slower; protocol must ignore it entirely.
   const std::vector<double> runs{1000.0, 10.0, 10.0, 10.0, 10.0};
   EXPECT_DOUBLE_EQ(stats::paper_protocol_time(runs), 10.0);
-}
-
-TEST(Stats, Normalize) {
-  const std::vector<double> xs{2.0, 4.0};
-  const auto n = stats::normalize(xs, 2.0);
-  EXPECT_DOUBLE_EQ(n[0], 1.0);
-  EXPECT_DOUBLE_EQ(n[1], 2.0);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
@@ -75,18 +50,21 @@ TEST(Rng, UniformBounds) {
 
 TEST(Rng, NormalMomentsRoughlyCorrect) {
   Rng r(123);
-  stats::Welford w;
-  for (int i = 0; i < 20000; ++i) w.add(r.normal(5.0, 2.0));
-  EXPECT_NEAR(w.mean(), 5.0, 0.1);
-  EXPECT_NEAR(w.stdev(), 2.0, 0.1);
+  std::vector<double> xs;
+  for (int i = 0; i < 20000; ++i) xs.push_back(r.normal(5.0, 2.0));
+  const double m = stats::mean(xs);
+  double ss = 0.0;
+  for (const double x : xs) ss += (x - m) * (x - m);
+  EXPECT_NEAR(m, 5.0, 0.1);
+  EXPECT_NEAR(std::sqrt(ss / static_cast<double>(xs.size() - 1)), 2.0, 0.1);
 }
 
 TEST(Rng, LognormalMeanMatchesFormula) {
   Rng r(9);
   const double mu = std::log(100.0) - 0.5 * 0.3 * 0.3;
-  stats::Welford w;
-  for (int i = 0; i < 50000; ++i) w.add(r.lognormal(mu, 0.3));
-  EXPECT_NEAR(w.mean(), 100.0, 2.0);
+  std::vector<double> xs;
+  for (int i = 0; i < 50000; ++i) xs.push_back(r.lognormal(mu, 0.3));
+  EXPECT_NEAR(stats::mean(xs), 100.0, 2.0);
 }
 
 TEST(Env, ParseHelpers) {
@@ -126,25 +104,16 @@ TEST(Env, TypedGettersFallBack) {
   EXPECT_EQ(env::get_int("AID_TEST_UNSET_INT", 7), 7);
 }
 
-TEST(Table, AlignsAndCounts) {
+TEST(Table, AlignsColumns) {
   TextTable t({"name", "value"});
   t.row().cell(std::string("alpha")).cell(1.5, 2);
   t.row().cell(std::string("b")).cell(static_cast<i64>(42));
-  EXPECT_EQ(t.num_rows(), 2u);
   std::ostringstream os;
   t.print(os);
   const std::string out = os.str();
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("1.50"), std::string::npos);
   EXPECT_NE(out.find("42"), std::string::npos);
-}
-
-TEST(Table, CsvRoundTrip) {
-  TextTable t({"a", "b"});
-  t.row().cell(std::string("x")).cell(2.0, 1);
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\nx,2.0\n");
 }
 
 TEST(Table, AsciiBar) {

@@ -9,8 +9,7 @@
 //    visible before any successor iteration runs, even with mismatched
 //    distributions;
 //  * nowait overlap — a straggler in loop k does not stop other team
-//    members from executing loop k+1;
-//  * the PipelineExecutor facade batches enqueues and joins only at flush.
+//    members from executing loop k+1.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,9 +18,7 @@
 #include <vector>
 
 #include "pipeline/loop_chain.h"
-#include "pipeline/pipeline_executor.h"
 #include "platform/platform.h"
-#include "rt/runtime.h"
 #include "rt/team.h"
 
 namespace aid::pipeline {
@@ -221,44 +218,6 @@ TEST(PipelineChain, RunLoopAndRunChainInterleave) {
       ASSERT_EQ(chained[static_cast<usize>(i)].load(), 3);
     }
   }
-}
-
-TEST(PipelineExecutorFacade, EnqueueFlushAndDestructorFlush) {
-  rt::RuntimeConfig config;
-  config.num_threads = 4;
-  config.emulate_amp = false;
-  rt::Runtime runtime(platform::generic_amp(2, 2, 2.0), config);
-
-  constexpr i64 kCount = 1000;
-  std::vector<i64> a(kCount, 0);
-  std::vector<i64> b(kCount, 0);
-  {
-    PipelineExecutor pipe(runtime);
-    const int fill = pipe.enqueue(kCount, ScheduleSpec::dynamic(4),
-                                  [&a](i64 lo, i64 hi,
-                                       const rt::WorkerInfo&) {
-                                    for (i64 i = lo; i < hi; ++i)
-                                      a[i] = 2 * i;
-                                  });
-    pipe.enqueue_after(fill, kCount, ScheduleSpec::static_even(),
-                       [&a, &b](i64 lo, i64 hi, const rt::WorkerInfo&) {
-                         for (i64 i = lo; i < hi; ++i)
-                           b[i] = a[kCount - 1 - i] + 1;
-                       });
-    EXPECT_EQ(pipe.pending_loops(), 2u);
-    pipe.flush();
-    EXPECT_EQ(pipe.pending_loops(), 0u);
-    for (i64 i = 0; i < kCount; ++i)
-      ASSERT_EQ(b[static_cast<usize>(i)], 2 * (kCount - 1 - i) + 1);
-
-    // Destructor flush: stage one more loop and let the scope end run it.
-    pipe.enqueue(kCount, ScheduleSpec::dynamic(1),
-                 [&a](i64 lo, i64 hi, const rt::WorkerInfo&) {
-                   for (i64 i = lo; i < hi; ++i) a[i] = -i;
-                 });
-  }
-  for (i64 i = 0; i < kCount; ++i)
-    ASSERT_EQ(a[static_cast<usize>(i)], -i);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //  * dependency gating survives repartitioning — an edge into a loop that
 //    ran on the pre-commit partition still gates the post-commit loops;
 //  * the lease-routed Runtime (AID_POOL=1) drives the same machinery
-//    through rt::Runtime::run_chain / PipelineExecutor.
+//    through rt::Runtime::run_chain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +18,6 @@
 
 #include "common/env.h"
 #include "pipeline/loop_chain.h"
-#include "pipeline/pipeline_executor.h"
 #include "platform/platform.h"
 #include "pool/pool_manager.h"
 #include "rt/runtime.h"
@@ -203,7 +202,7 @@ TEST(PipelineStress, LongSameShapeChainReusesRingAndCacheOnLease) {
 TEST(PipelineStress, LeaseRoutedRuntimeChainUnderChurn) {
   // The unmodified-application path: a Runtime configured from the
   // environment (AID_POOL=1) leases from the process-wide manager, and
-  // PipelineExecutor::flush drives the chain through the lease while the
+  // Runtime::run_chain drives the chain through the lease while the
   // arbiter churns underneath.
   rt::Runtime runtime(rt::platform_from_env(), rt::RuntimeConfig::from_env());
   ASSERT_TRUE(runtime.uses_pool());
@@ -225,35 +224,35 @@ TEST(PipelineStress, LeaseRoutedRuntimeChainUnderChurn) {
     for (auto& h : hits) h.store(0, std::memory_order_relaxed);
     std::vector<i64> a(static_cast<usize>(kCount), 0);
 
-    PipelineExecutor pipe(runtime);
-    const int fill = pipe.enqueue(
+    LoopChain chain;
+    const int fill = chain.add(
         kCount, ScheduleSpec::dynamic(3),
         [&a](i64 lo, i64 hi, const rt::WorkerInfo&) {
           for (i64 i = lo; i < hi; ++i) a[static_cast<usize>(i)] = 3 * i;
         });
-    pipe.enqueue(kCount, ScheduleSpec::dynamic(1),
-                 [&hits](i64 lo, i64 hi, const rt::WorkerInfo&) {
-                   for (i64 i = lo; i < hi; ++i)
-                     hits[static_cast<usize>(i)].fetch_add(
-                         1, std::memory_order_relaxed);
-                 });
-    pipe.enqueue_after(fill, kCount, ScheduleSpec::static_even(),
-                       [&a, &hits](i64 lo, i64 hi, const rt::WorkerInfo&) {
-                         for (i64 i = lo; i < hi; ++i) {
-                           if (a[static_cast<usize>(kCount - 1 - i)] !=
-                               3 * (kCount - 1 - i))
-                             ADD_FAILURE() << "dependency violated at " << i;
-                           hits[static_cast<usize>(i)].fetch_add(
-                               1, std::memory_order_relaxed);
-                         }
-                       });
-    pipe.enqueue(kCount, ScheduleSpec::guided(2),
-                 [&hits](i64 lo, i64 hi, const rt::WorkerInfo&) {
-                   for (i64 i = lo; i < hi; ++i)
-                     hits[static_cast<usize>(i)].fetch_add(
-                         1, std::memory_order_relaxed);
-                 });
-    pipe.flush();
+    chain.add(kCount, ScheduleSpec::dynamic(1),
+              [&hits](i64 lo, i64 hi, const rt::WorkerInfo&) {
+                for (i64 i = lo; i < hi; ++i)
+                  hits[static_cast<usize>(i)].fetch_add(
+                      1, std::memory_order_relaxed);
+              });
+    chain.add_after(fill, kCount, ScheduleSpec::static_even(),
+                    [&a, &hits](i64 lo, i64 hi, const rt::WorkerInfo&) {
+                      for (i64 i = lo; i < hi; ++i) {
+                        if (a[static_cast<usize>(kCount - 1 - i)] !=
+                            3 * (kCount - 1 - i))
+                          ADD_FAILURE() << "dependency violated at " << i;
+                        hits[static_cast<usize>(i)].fetch_add(
+                            1, std::memory_order_relaxed);
+                      }
+                    });
+    chain.add(kCount, ScheduleSpec::guided(2),
+              [&hits](i64 lo, i64 hi, const rt::WorkerInfo&) {
+                for (i64 i = lo; i < hi; ++i)
+                  hits[static_cast<usize>(i)].fetch_add(
+                      1, std::memory_order_relaxed);
+              });
+    runtime.run_chain(chain);
 
     for (i64 i = 0; i < kCount; ++i)
       ASSERT_EQ(hits[static_cast<usize>(i)].load(), 3)

@@ -70,6 +70,9 @@ TEST(Platform, ParsePresets) {
   EXPECT_FALSE(parse_platform("bogus"));
   EXPECT_FALSE(parse_platform("symmetric:0"));
   EXPECT_FALSE(parse_platform("generic:1,1,0.5"));
+  // Counts past int's range are rejected, not narrowed to 1 and 2 cores.
+  EXPECT_FALSE(parse_platform("generic:4294967297,1,2"));
+  EXPECT_FALSE(parse_platform("generic:2,4294967298,2"));
 }
 
 TEST(TeamLayout, SbPutsMasterOnSmallCore) {
@@ -113,17 +116,6 @@ TEST(TeamLayout, ThreadsOfTypeSumsToTeam) {
       sum += layout.threads_of_type(t);
     EXPECT_EQ(sum, n);
   }
-}
-
-TEST(TeamLayout, ParseMapping) {
-  Mapping m{};
-  EXPECT_TRUE(parse_mapping("SB", m));
-  EXPECT_EQ(m, Mapping::kSmallFirst);
-  EXPECT_TRUE(parse_mapping("bs", m));
-  EXPECT_EQ(m, Mapping::kBigFirst);
-  EXPECT_TRUE(parse_mapping("big-first", m));
-  EXPECT_EQ(m, Mapping::kBigFirst);
-  EXPECT_FALSE(parse_mapping("sideways", m));
 }
 
 TEST(TeamLayoutDeath, RejectsOversubscription) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -223,12 +224,46 @@ TEST(RuntimeConfig, BadScheduleFallsBackToStatic) {
   EXPECT_EQ(cfg.schedule.kind, sched::ScheduleKind::kStatic);
 }
 
-TEST(RuntimeConfig, MappingOverride) {
-  env::ScopedSet affinity_guard("AID_AMP_AFFINITY", "1");
-  env::ScopedSet mapping_guard("AID_MAPPING", "SB");
-  const auto cfg = RuntimeConfig::from_env();
-  EXPECT_EQ(cfg.mapping, Mapping::kSmallFirst)
-      << "explicit AID_MAPPING wins over AID_AMP_AFFINITY";
+TEST(RuntimeConfig, TeamLargerThanThePlatformFallsBackToAllCores) {
+  env::reset_warnings();
+  const env::ScopedSet threads_guard("AID_NUM_THREADS", "16");
+  RuntimeConfig cfg = RuntimeConfig::from_env();
+  cfg.use_pool = false;  // under AID_POOL=1 the arbiter sizes the team
+  cfg.emulate_amp = false;
+  testing::internal::CaptureStderr();
+  const Runtime runtime(small_amp(), cfg);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(runtime.nthreads(), small_amp().num_cores());
+  EXPECT_NE(err.find("ignoring AID_NUM_THREADS=\"16\""), std::string::npos)
+      << err;
+  env::reset_warnings();
+}
+
+TEST(RuntimeConfig, MalformedPlatformWarnsAndFallsBackToPlatformA) {
+  env::reset_warnings();
+  const env::ScopedSet guard("AID_PLATFORM", "generic:2,2");
+  testing::internal::CaptureStderr();
+  const platform::Platform p = platform_from_env();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(p.name(), platform::odroid_xu4().name());
+  EXPECT_NE(err.find("ignoring AID_PLATFORM=\"generic:2,2\""),
+            std::string::npos)
+      << err;
+  env::reset_warnings();
+}
+
+TEST(RuntimeConfig, NonPositivePoolWeightWarnsAndFallsBackToOne) {
+  env::reset_warnings();
+  const env::ScopedSet guard("AID_POOL_WEIGHT", "0");
+  RuntimeConfig cfg = RuntimeConfig::from_env();
+  cfg.use_pool = true;
+  testing::internal::CaptureStderr();
+  const Runtime runtime(platform_from_env(), cfg);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(runtime.uses_pool());
+  EXPECT_NE(err.find("ignoring AID_POOL_WEIGHT=\"0\""), std::string::npos)
+      << err;
+  env::reset_warnings();
 }
 
 TEST(RuntimeConfig, DescribeMentionsKeyFields) {
