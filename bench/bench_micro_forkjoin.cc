@@ -36,11 +36,12 @@
 //
 // shard=single is the classic one-line WorkShare, shard=sharded the
 // per-thread ShardedWorkShare the runtime arms, shard=fallback1 the
-// ShardedWorkShare over a one-shard topology (the path one-thread teams
-// take: it must stay within noise of single). The committed 4-CPU capture
-// reads take_ns single 117 / sharded 49 / fallback1 108 at threads=2 and
-// 141 / 144 / 138 at threads=4, with sharded's local_share_pct at 99.8;
-// its sharded rows armed one shard per core type, a layout since deleted.
+// unsharded ShardedWorkShare (the single pool one-thread teams and the
+// simulator get: it must stay within noise of single). The committed
+// 4-CPU capture reads take_ns single 117 / sharded 49 / fallback1 108 at
+// threads=2 and 141 / 144 / 138 at threads=4, with sharded's
+// local_share_pct at 99.8; its sharded rows armed one shard per core
+// type, a layout since deleted.
 //
 // Tunables: AID_BENCH_FORKJOIN_RUNS (samples/config, default 300),
 // AID_BENCH_FORKJOIN_MAXTHREADS (default 16, capped sweep 1,2,4,8,16).
@@ -337,11 +338,10 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
       nthreads / 2 > 0 ? nthreads / 2 : 1, 2.0);
   const platform::TeamLayout layout(platform, nthreads,
                                     platform::Mapping::kBigFirst);
-  const sched::ShardTopology topo = sched::ShardTopology::per_thread(layout);
   // Steal-heavy arming: invert the capacity split so the big cores'
   // threads drain home early and must steal or bulk-migrate.
-  std::vector<double> skew(static_cast<usize>(topo.nshards()), 7.0);
-  for (int tid = 0; tid < topo.nshards(); ++tid)
+  std::vector<double> skew(static_cast<usize>(nthreads), 7.0);
+  for (int tid = 0; tid < nthreads; ++tid)
     if (layout.core_type_of(tid) > 0) skew[static_cast<usize>(tid)] = 1.0;
 
   const auto label = [&](const char* kind) {
@@ -372,7 +372,7 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
              }));
   }
   {
-    sched::ShardedWorkShare pool(topo, nthreads);
+    sched::ShardedWorkShare pool(layout, /*sharded=*/true);
     emit(label("sharded"),
          measure_pool(
              nthreads, runs,
@@ -385,9 +385,8 @@ void report_shard_family(bench::BenchJsonWriter& json, int nthreads,
              }));
   }
   {
-    // One-shard topology (uniform layouts): must stay within noise of
-    // shard=single.
-    sched::ShardedWorkShare pool(sched::ShardTopology{}, nthreads);
+    // Unsharded: must stay within noise of shard=single.
+    sched::ShardedWorkShare pool(layout, /*sharded=*/false);
     emit(label("fallback1"),
          measure_pool(
              nthreads, runs,

@@ -41,15 +41,4 @@ class ManualTimeSource final : public TimeSource {
   Nanos t_ = 0;
 };
 
-/// Per-thread CPU time (CLOCK_THREAD_CPUTIME_ID). The paper's footnote 3
-/// (Sec. 4.3): under oversubscription, wall-clock sampling conflates "my
-/// core is slow" with "I was descheduled" — SF estimation should use CPU
-/// time instead. Each worker must query it from its own thread (the clock
-/// is per-calling-thread), which is exactly how schedulers use their
-/// ThreadContext's time source. Enable in the runtime via AID_SF_CPU_TIME.
-class ThreadCpuTimeSource final : public TimeSource {
- public:
-  [[nodiscard]] Nanos now() const override;
-};
-
 }  // namespace aid

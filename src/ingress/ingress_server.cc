@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "common/env.h"
 #include "workloads/serve_kernel.h"
 
 namespace aid::ingress {
@@ -104,14 +103,6 @@ struct IngressServer::Core {
 };
 
 // ------------------------------------------------------------------ setup
-
-IngressServer::Config IngressServer::Config::from_env() {
-  Config c;
-  c.socket_path = env::get_string("AID_INGRESS_SOCKET", "");
-  c.credit_window = static_cast<u32>(
-      env::get_int_at_least("AID_INGRESS_CREDITS", c.credit_window, 1));
-  return c;
-}
 
 IngressServer::IngressServer(serve::ServeNode& node, Config config)
     : node_(node), config_(std::move(config)), core_(std::make_shared<Core>()) {

@@ -75,8 +75,6 @@ class IngressServer {
     std::string socket_path;  ///< AF_UNIX path (unlinked + rebound)
     u32 credit_window = 8;    ///< per-connection in-flight job grant (>= 1)
     int listen_backlog = 16;
-    /// AID_INGRESS_SOCKET / AID_INGRESS_CREDITS (warn-once fallbacks).
-    [[nodiscard]] static Config from_env();
   };
 
   struct Stats {

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/env.h"
-#include "common/time_source.h"
 #include "pipeline/loop_chain.h"
 #include "rt/runtime.h"
 
@@ -117,12 +116,6 @@ sched::SchedulerStats AppHandle::last_loop_stats() const {
   return mgr_->app_of(id_).last_stats;
 }
 
-LeaseStats AppHandle::lease_stats() const {
-  AID_CHECK_MSG(mgr_ != nullptr, "lease_stats on a released app lease");
-  std::scoped_lock lk(mgr_->mutex_);
-  return mgr_->app_of(id_).lease_stats;
-}
-
 sched::SchedulerCache& AppHandle::scheduler_cache() {
   AID_CHECK_MSG(mgr_ != nullptr, "scheduler_cache on a released app lease");
   std::scoped_lock lk(mgr_->mutex_);
@@ -149,7 +142,6 @@ PoolManager& PoolManager::instance() {
           "one of equal-share | big-core-priority | proportional");
     c.emulate_amp = rc.emulate_amp;
     c.bind_threads = rc.bind_threads;
-    c.sf_cpu_time = rc.sf_cpu_time;
     return c;
   }());
   return manager;
@@ -158,8 +150,7 @@ PoolManager& PoolManager::instance() {
 PoolManager::PoolManager(platform::Platform platform, Config config)
     : platform_(std::move(platform)),
       config_(config),
-      pool_(platform_,
-            {config.emulate_amp, config.bind_threads, config.sf_cpu_time},
+      pool_(platform_, {config.emulate_amp, config.bind_threads},
             rt::wait_budgets(platform_.num_cores())) {}
 
 PoolManager::~PoolManager() {
@@ -330,7 +321,7 @@ void PoolManager::adopt(App& app) {
   app.layout = std::make_unique<platform::TeamLayout>(
       platform_, app.current, platform::Mapping::kBigFirst);
   // The partition moved: every cached scheduler bakes in the old layout's
-  // thread count and shard topology. Idle instances die now; in-flight
+  // thread count and per-thread shards. Idle instances die now; in-flight
   // ones (a chain committing between ring entries) die on their release.
   app.cache->invalidate();
   targets_epoch_.fetch_add(1, std::memory_order_release);
@@ -387,13 +378,10 @@ rt::WorkerPool::Owner PoolManager::begin_construct(u64 id) {
   return owner;
 }
 
-void PoolManager::end_construct(u64 id, const sched::SchedulerStats& stats,
-                                Nanos busy_ns, bool chain) {
+void PoolManager::end_construct(u64 id, const sched::SchedulerStats& stats) {
   std::scoped_lock lk(mutex_);
   App& a = app_of(id);
   a.last_stats = stats;
-  (chain ? a.lease_stats.chains : a.lease_stats.loops) += 1;
-  a.lease_stats.busy_ns += busy_ns;
   a.in_loop = false;
   if (a.region_depth == 0) commit_idle();
   granted_.notify_all();
@@ -401,13 +389,11 @@ void PoolManager::end_construct(u64 id, const sched::SchedulerStats& stats,
 
 void PoolManager::run_loop(u64 id, i64 count, const sched::ScheduleSpec& spec,
                            const rt::RangeBody& body) {
-  const SteadyTimeSource clock;
-  const Nanos t0 = clock.now();
   const rt::WorkerPool::Owner owner = begin_construct(id);
   sched::SchedulerStats stats;
   const std::exception_ptr error =
       pool_.run_loop(owner, count, spec, body, stats);
-  end_construct(id, stats, clock.now() - t0, /*chain=*/false);
+  end_construct(id, stats);
   // Lease state released FIRST, rethrow LAST: a thrown body leaves the
   // lease reusable (subsequent loops work) and co-tenants unaffected.
   if (error) std::rethrow_exception(error);
@@ -415,8 +401,6 @@ void PoolManager::run_loop(u64 id, i64 count, const sched::ScheduleSpec& spec,
 
 void PoolManager::run_chain(u64 id, const pipeline::LoopChain& chain) {
   if (chain.empty()) return;
-  const SteadyTimeSource clock;
-  const Nanos t0 = clock.now();
   const rt::WorkerPool::Owner owner = begin_construct(id);
 
   // The between-entries hook: repartitions commit at ring-entry
@@ -461,7 +445,7 @@ void PoolManager::run_chain(u64 id, const pipeline::LoopChain& chain) {
 
   sched::SchedulerStats stats;
   const std::exception_ptr error = pool_.run_chain(owner, chain, &hook, stats);
-  end_construct(id, stats, clock.now() - t0, /*chain=*/true);
+  end_construct(id, stats);
   // Lease state released FIRST, rethrow LAST (same contract as run_loop).
   if (error) std::rethrow_exception(error);
 }

@@ -50,17 +50,6 @@ struct AppAllotment {
   [[nodiscard]] int total() const { return threads_on_big + threads_on_small; }
 };
 
-/// Cumulative usage of one lease since registration: constructs executed
-/// and wall time spent inside them (including any loop-boundary wait for a
-/// pending grant — that wait is part of what the tenant experienced). A
-/// multi-tenant layer above the pool (src/serve/) reads this to account
-/// usage per tenant without instrumenting every body.
-struct LeaseStats {
-  u64 loops = 0;    ///< run_loop constructs completed
-  u64 chains = 0;   ///< run_chain constructs completed
-  Nanos busy_ns = 0;  ///< wall time spent inside those constructs
-};
-
 /// An application's lease on a pool partition. Move-only; releasing (or
 /// destroying) the handle returns the cores to the pool and triggers a
 /// repartition among the remaining apps. All methods are thread-safe
@@ -120,16 +109,13 @@ class AppHandle {
   /// {threads_on_big, threads_on_small} of the current partition.
   [[nodiscard]] AppAllotment allotment() const;
   [[nodiscard]] sched::SchedulerStats last_loop_stats() const;
-  /// Cumulative constructs + wall time this lease has executed (see
-  /// LeaseStats). Monotonic; survives repartitions and policy changes.
-  [[nodiscard]] LeaseStats lease_stats() const;
   [[nodiscard]] int nthreads() const { return allotment().total(); }
 
   /// The lease's per-shape scheduler cache (sched/scheduler_cache.h):
   /// every construct on this partition — run_loop, chain entries, GOMP
   /// work shares — re-arms a cached instance instead of building one. The
   /// manager invalidates it whenever the partition moves (cached
-  /// instances bake in the old layout's thread count and shard topology),
+  /// instances bake in the old layout's thread count and per-thread shards),
   /// so hold the reference only while a loop or region pins the layout.
   [[nodiscard]] sched::SchedulerCache& scheduler_cache();
 
@@ -164,7 +150,6 @@ class PoolManager {
     Policy policy = Policy::kEqualShare;
     bool emulate_amp = true;
     bool bind_threads = false;
-    bool sf_cpu_time = false;
   };
 
   /// The lazily-initialized process-wide manager, configured from the
@@ -229,7 +214,6 @@ class PoolManager {
     // freed before the manager.
     std::unique_ptr<rt::PoolJob> job;
     sched::SchedulerStats last_stats;
-    LeaseStats lease_stats;  ///< accumulated at every construct's exit
     /// The lease-wide cancellation parent (AppHandle::cancel): every
     /// construct on this lease binds its per-entry token to it. Reset at
     /// each construct's entry (under mutex_, before anything is
@@ -258,9 +242,8 @@ class PoolManager {
   /// app in flight, re-arm its cancel parent and open the engine window on
   /// its partition.
   rt::WorkerPool::Owner begin_construct(u64 id);
-  /// A construct's exit: record stats and usage, clear in-flight, commit.
-  void end_construct(u64 id, const sched::SchedulerStats& stats,
-                     Nanos busy_ns, bool chain);
+  /// A construct's exit: record stats, clear in-flight, commit.
+  void end_construct(u64 id, const sched::SchedulerStats& stats);
 
   void run_loop(u64 id, i64 count, const sched::ScheduleSpec& spec,
                 const rt::RangeBody& body);

@@ -63,7 +63,7 @@ Runtime::Runtime(platform::Platform platform, RuntimeConfig config)
     }
     team_ = std::make_unique<Team>(platform_, config_.num_threads,
                                    config_.mapping, config_.emulate_amp,
-                                   config_.bind_threads, config_.sf_cpu_time);
+                                   config_.bind_threads);
   }
 }
 

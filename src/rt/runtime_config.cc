@@ -33,7 +33,6 @@ RuntimeConfig RuntimeConfig::from_env() {
 
   cfg.emulate_amp = env::get_bool("AID_EMULATE_AMP", true);
   cfg.bind_threads = env::get_bool("AID_BIND_THREADS", false);
-  cfg.sf_cpu_time = env::get_bool("AID_SF_CPU_TIME", false);
 
   cfg.use_pool = env::get_bool("AID_POOL", false);
   if (const auto text = env::get("AID_POOL_POLICY")) cfg.pool_policy = *text;
@@ -48,7 +47,6 @@ std::string RuntimeConfig::describe() const {
      << " mapping=" << platform::to_string(mapping)
      << " emulate_amp=" << (emulate_amp ? "on" : "off")
      << " bind_threads=" << (bind_threads ? "on" : "off")
-     << " sf_cpu_time=" << (sf_cpu_time ? "on" : "off")
      << " pool=" << (use_pool ? "on" : "off");
   if (use_pool) os << " pool_policy=" << pool_policy;
   return os.str();

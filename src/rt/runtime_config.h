@@ -19,8 +19,6 @@
 //                       host (see rt/throttle.h). Default: on, because the
 //                       build machine is symmetric; set to 0 on real AMPs.
 //   AID_BIND_THREADS  — pin worker threads to core ids (best-effort).
-//   AID_SF_CPU_TIME   — sample SF with per-thread CPU time instead of wall
-//                       time (the paper's footnote-3 oversubscription fix).
 //   AID_POOL          — when truthy, the global runtime does not build a
 //                       private worker team; it leases a partition from the
 //                       process-wide PoolManager (src/pool/), so several
@@ -46,7 +44,6 @@ struct RuntimeConfig {
   platform::Mapping mapping = platform::Mapping::kSmallFirst;
   bool emulate_amp = true;
   bool bind_threads = false;
-  bool sf_cpu_time = false;
   bool use_pool = false;  ///< route loops through the shared pool manager
   /// Arbitration policy name, parsed by the pool layer (pool/policy.h);
   /// kept as an opaque string here so rt/ headers stay independent of

@@ -7,11 +7,10 @@
 namespace aid::rt {
 
 Team::Team(const platform::Platform& platform, int nthreads,
-           platform::Mapping mapping, bool emulate_amp, bool bind_threads,
-           bool sf_cpu_time)
+           platform::Mapping mapping, bool emulate_amp, bool bind_threads)
     : layout_(platform, nthreads > 0 ? nthreads : platform.num_cores(),
               mapping),
-      pool_(platform, {emulate_amp, bind_threads, sf_cpu_time},
+      pool_(platform, {emulate_amp, bind_threads},
             rt::wait_budgets(layout_.nthreads())) {
   // The team's one window: binds the master and spawns the workers now, so
   // no construct pays either.

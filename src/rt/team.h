@@ -12,10 +12,10 @@
 // (rt/worker_pool.h — the same engine PoolManager leases partitions of):
 // it holds one PoolJob, the layout, its scheduler cache and watchdog, and
 // opens the engine's window over its layout once, at construction. Every
-// scheduler the cache builds shards its pool by the layout and the
-// schedule kind (sched::ShardTopology::for_schedule: one shard per thread
-// for dynamic, aid-static and aid-hybrid). The fork/join path is
-// lock-free in steady state (see src/rt/README.md).
+// scheduler the cache builds for dynamic or an AID schedule takes from a
+// pool with one shard per thread of the layout (sched::
+// make_sharded_scheduler). The fork/join path is lock-free in steady state
+// (see src/rt/README.md).
 //
 // Thread-to-core semantics come from a TeamLayout (SB/BS mapping). On hosts
 // that are not real AMPs, per-core Throttles emulate the asymmetry
@@ -40,12 +40,10 @@ class Team {
   static constexpr u64 kChainRing = PoolJob::kChainRing;
 
   /// The layout binds nthreads (0 = all cores) of `platform` to cores per
-  /// `mapping`. `sf_cpu_time` makes the schedulers' sampling use
-  /// per-thread CPU time (the paper's footnote-3 oversubscription fix)
-  /// instead of the wall clock.
+  /// `mapping`.
   Team(const platform::Platform& platform, int nthreads,
        platform::Mapping mapping, bool emulate_amp = true,
-       bool bind_threads = false, bool sf_cpu_time = false);
+       bool bind_threads = false);
 
   Team(const Team&) = delete;
   Team& operator=(const Team&) = delete;

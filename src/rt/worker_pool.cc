@@ -22,9 +22,6 @@ WorkerPool::WorkerPool(const platform::Platform& platform, Options options,
                        WaitBudgets budgets)
     : options_(options),
       budgets_(budgets),
-      sf_clock_(options.sf_cpu_time
-                    ? static_cast<const TimeSource*>(&cpu_clock_)
-                    : static_cast<const TimeSource*>(&clock_)),
       slots_(static_cast<usize>(platform.num_cores())) {
   const double max_speed =
       platform.speed_of_type(platform.num_core_types() - 1);
@@ -115,7 +112,7 @@ void WorkerPool::participate(const platform::TeamLayout& layout,
       .tid = tid,
       .core_type = layout.core_type_of(tid),
       .speed = layout.speed_of(tid),
-      .time = sf_clock_,
+      .time = &clock_,
       .cancel = token,
   };
   const Throttle& throttle =

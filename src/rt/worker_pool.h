@@ -127,7 +127,6 @@ class WorkerPool {
   struct Options {
     bool emulate_amp = true;   ///< throttle small cores on symmetric hosts
     bool bind_threads = false; ///< best-effort per-core affinity
-    bool sf_cpu_time = false;  ///< schedulers sample per-thread CPU time
   };
 
   /// What a construct runs against, supplied by its owner: the job whose
@@ -241,9 +240,7 @@ class WorkerPool {
 
   Options options_;
   WaitBudgets budgets_;
-  SteadyTimeSource clock_;
-  ThreadCpuTimeSource cpu_clock_;
-  const TimeSource* sf_clock_;   // what the schedulers' sampling observes
+  SteadyTimeSource clock_;       // throttle charges and SF sampling
   std::vector<CoreSlot> slots_;  // index = platform core id
   std::atomic<bool> shutting_down_{false};
   Padded<std::atomic<u64>> epoch_;     // shared sleep channel (all workers)

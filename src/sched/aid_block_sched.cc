@@ -10,8 +10,8 @@ AidBlockScheduler::AidBlockScheduler(i64 count,
                                      const platform::TeamLayout& layout,
                                      i64 chunk, double aid_fraction,
                                      std::optional<double> offline_sf,
-                                     std::string name, ShardTopology topo)
-    : pool_(std::move(topo), layout.nthreads()),
+                                     std::string name, bool sharded)
+    : pool_(layout, sharded),
       estimator_(layout.num_core_types()),
       count_(count),
       chunk_(chunk > 0 ? chunk : 1),
@@ -37,6 +37,7 @@ AidBlockScheduler::AidBlockScheduler(i64 count,
   }
 
   sf_.resize(static_cast<usize>(layout.num_core_types()), 1.0);
+  shard_rate_.resize(static_cast<usize>(layout.nthreads()));
   reset(count);
 }
 
@@ -58,28 +59,17 @@ void AidBlockScheduler::reset(i64 count) {
     k_ = aid_k(aid_fraction_ * static_cast<double>(count_), threads_per_type_,
                sf_);
     reported_sf_ = sf_.back();
-    // No sampling phase: arm the shards proportional to the offline SF so
-    // the single AID block per thread is served by its home shard. One
-    // arm, with the right weights (reset is single-threaded, so computing
-    // them first is safe).
-    if (pool_.nshards() > 1) {
-      fill_shard_rates();
-      pool_.reset(count, shard_rate_);
-    } else {
-      pool_.reset(count);
-    }
+    // No sampling phase: arm each thread's shard with its SF so the
+    // single AID block per thread is served by its own shard (a single
+    // pool ignores the weights).
+    for (usize t = 0; t < shard_rate_.size(); ++t)
+      shard_rate_[t] = sf_[static_cast<usize>(type_of_tid_[t])];
+    pool_.reset(count, shard_rate_);
     for (auto& pt : per_thread_) pt->state = State::kAid;
     aid_ready_.store(true, std::memory_order_release);
   } else {
     pool_.reset(count);
   }
-}
-
-void AidBlockScheduler::fill_shard_rates() {
-  shard_rate_.assign(static_cast<usize>(pool_.nshards()), 0.0);
-  for (int t = 0; t < nthreads_; ++t)
-    shard_rate_[static_cast<usize>(pool_.home_of(t))] +=
-        sf_[static_cast<usize>(type_of_tid_[static_cast<usize>(t)])];
 }
 
 void AidBlockScheduler::finalize() {

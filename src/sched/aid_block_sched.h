@@ -23,12 +23,13 @@
 //
 // Lock-free: the pool is a fetch-add ShardedWorkShare; sampling bookkeeping
 // is the SfEstimator's atomic counters (paper: "the implementation of
-// AID-static is lock free"). The runtime arms one pool shard per thread
-// (ShardTopology::for_schedule), so each thread's AID block comes from its
-// own home shard. The measured SF shapes the AID blocks only: it is not fed
-// back into the shards, which keep their nominal-speed split and rebalance
-// themselves by bulk steals. Only the offline-SF variant, whose SF is known
-// before the loop starts, arms its shards by SF (once, in reset()).
+// AID-static is lock free"). The runtime arms the pool sharded, one shard
+// per thread (make_sharded_scheduler), so each thread's AID block comes
+// from its own shard. The measured SF shapes the AID blocks only: it is
+// not fed back into the shards, which keep their nominal-speed split and
+// rebalance themselves by bulk steals. Only the offline-SF variant, whose
+// SF is known before the loop starts, arms its shards by SF (once, in
+// reset()).
 #pragma once
 
 #include <atomic>
@@ -46,10 +47,11 @@ class AidBlockScheduler final : public LoopScheduler {
  public:
   /// `aid_fraction` — portion of NI distributed asymmetrically: 1.0 for
   /// AID-static, P/100 for AID-hybrid. `offline_sf` — skip sampling and use
-  /// this SF for the fastest core type (Fig. 9 variant).
+  /// this SF for the fastest core type (Fig. 9 variant). `sharded` gives
+  /// the pool one shard per thread; else it is the single pool.
   AidBlockScheduler(i64 count, const platform::TeamLayout& layout, i64 chunk,
                     double aid_fraction, std::optional<double> offline_sf,
-                    std::string name, ShardTopology topo = {});
+                    std::string name, bool sharded);
 
   bool next(ThreadContext& tc, IterRange& out) override;
   void reset(i64 count) override;
@@ -90,9 +92,6 @@ class AidBlockScheduler final : public LoopScheduler {
   void finalize();
   bool take_aid_block(ThreadContext& tc, PerThread& pt, IterRange& out);
   bool drain(IterRange& out, int tid);
-  /// Fill shard_rate_ with the per-shard SF sums under the offline SF
-  /// vector (the weights reset() arms the shards with).
-  void fill_shard_rates();
 
   ShardedWorkShare pool_;
   SfEstimator estimator_;
@@ -102,7 +101,7 @@ class AidBlockScheduler final : public LoopScheduler {
   // read by everyone else after an acquire load. Sized in the ctor so
   // finalize() performs no allocation.
   std::vector<double> sf_;
-  std::vector<double> shard_rate_;  ///< offline-SF shard weights (reset())
+  std::vector<double> shard_rate_;  ///< offline SF per thread (reset())
   double k_ = 0.0;
   double reported_sf_ = 0.0;
 
@@ -114,7 +113,7 @@ class AidBlockScheduler final : public LoopScheduler {
   const int nthreads_;
   std::vector<int> threads_per_type_;
   std::vector<double> nominal_speed_;
-  std::vector<int> type_of_tid_;  ///< feeds fill_shard_rates()
+  std::vector<int> type_of_tid_;  ///< feeds shard_rate_
   std::vector<Padded<PerThread>> per_thread_;
 };
 

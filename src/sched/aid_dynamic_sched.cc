@@ -10,9 +10,8 @@ namespace aid::sched {
 AidDynamicScheduler::AidDynamicScheduler(i64 count,
                                          const platform::TeamLayout& layout,
                                          i64 minor_chunk, i64 major_chunk,
-                                         bool endgame_enabled,
-                                         ShardTopology topo)
-    : pool_(std::move(topo), layout.nthreads()),
+                                         bool endgame_enabled, bool sharded)
+    : pool_(layout, sharded),
       estimator_(layout.num_core_types()),
       minor_chunk_(minor_chunk > 0 ? minor_chunk : 1),
       major_chunk_(major_chunk > 0 ? major_chunk : 5),

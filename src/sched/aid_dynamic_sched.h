@@ -33,11 +33,11 @@
 // The design is non-blocking throughout: a drained pool simply ends the
 // loop for whichever thread observes it.
 //
-// R shapes the blocks only. The sharded pool (one shard per thread:
-// ShardTopology::for_schedule) is not re-weighted by it: a shard that
+// R shapes the blocks only. The sharded pool (one shard per thread, as
+// make_sharded_scheduler arms it) is not re-weighted by it: a shard that
 // drains early bulk-steals from the others (sharded_work_share.h), and
 // feeding R into the shards a second time measured slower
-// (src/sched/README.md). The endgame test reads the caller's home shard
+// (src/sched/README.md). The endgame test reads the caller's own shard
 // first and scans the whole pool only when that shard alone no longer
 // exceeds M·N.
 #pragma once
@@ -60,10 +60,11 @@ class AidDynamicScheduler final : public LoopScheduler {
   static constexpr i64 kBlocksPerRecord = 4;
 
   /// `endgame_enabled` gates the Fig. 5 caption optimization; disabling it
-  /// exists only for the ablation study.
+  /// exists only for the ablation study. `sharded` gives the pool one
+  /// shard per thread; else it is the single pool.
   AidDynamicScheduler(i64 count, const platform::TeamLayout& layout,
-                      i64 minor_chunk, i64 major_chunk,
-                      bool endgame_enabled = true, ShardTopology topo = {});
+                      i64 minor_chunk, i64 major_chunk, bool endgame_enabled,
+                      bool sharded);
 
   bool next(ThreadContext& tc, IterRange& out) override;
   void reset(i64 count) override;
@@ -103,13 +104,13 @@ class AidDynamicScheduler final : public LoopScheduler {
   /// unless one is running already.
   void recompute();
 
-  /// remaining() <= M·N. The caller's home shard holds a lower bound on
+  /// remaining() <= M·N. The caller's own shard holds a lower bound on
   /// the pool's remainder, so while it alone exceeds M·N the answer is no
-  /// without loading every other shard's segment lines.
+  /// without loading every other shard's word.
   [[nodiscard]] bool should_endgame(int tid) const {
     if (!endgame_enabled_) return false;
     const i64 threshold = major_chunk_ * nthreads_;
-    if (pool_.remaining_of_shard(pool_.home_of(tid)) > threshold) return false;
+    if (pool_.remaining_of_shard(tid) > threshold) return false;
     return pool_.remaining() <= threshold;
   }
 

@@ -4,9 +4,10 @@
 
 namespace aid::sched {
 
-DynamicScheduler::DynamicScheduler(i64 count, i64 chunk, int nthreads,
-                                   ShardTopology topo)
-    : pool_(std::move(topo), nthreads, chunk > 0 ? chunk : 1),
+DynamicScheduler::DynamicScheduler(i64 count,
+                                   const platform::TeamLayout& layout,
+                                   i64 chunk, bool sharded)
+    : pool_(layout, sharded, chunk > 0 ? chunk : 1),
       chunk_(chunk > 0 ? chunk : 1) {
   AID_CHECK(count >= 0);
   pool_.reset(count);

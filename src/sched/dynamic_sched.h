@@ -6,14 +6,14 @@
 // Adapts to asymmetry implicitly (big-core threads come back for work more
 // often) at the price of one pool removal per chunk — the overhead the paper
 // shows can negate the benefit (IS: 1.93x slowdown; CG on Platform B: 2.86x).
-// The runtime arms it with one shard per thread (ShardTopology::
-// for_schedule): the per-chunk removal is then an RMW on the caller's own
-// home shard, and a thread whose home drained bulk-migrates from a peer's.
-// That is OpenMP 5.0's `nonmonotonic:dynamic` (LLVM libomp's static_steal):
-// a thread's chunks need not come in increasing order, but every chunk
+// The runtime arms it sharded (make_sharded_scheduler), one shard per
+// thread: the per-chunk removal is then an RMW on the caller's own word,
+// and a thread whose word drained bulk-migrates from a peer's. That is
+// OpenMP 5.0's `nonmonotonic:dynamic` (LLVM libomp's static_steal): a
+// thread's chunks need not come in increasing order, but every chunk
 // except the one holding the last iteration has exactly `chunk`
-// iterations, because the pool's grain is the chunk. With the default
-// single-shard topology it is the classic shared fetch-add.
+// iterations, because the pool's grain is the chunk. Unsharded (the
+// simulator) it is the classic shared fetch-add.
 #pragma once
 
 #include "sched/loop_scheduler.h"
@@ -23,11 +23,10 @@ namespace aid::sched {
 
 class DynamicScheduler final : public LoopScheduler {
  public:
-  /// `nthreads` sizes the pool's per-thread removal counters (callers pass
-  /// layout.nthreads()). `topo` shards the pool; empty = single pool. The
-  /// chunk is the pool's grain.
-  DynamicScheduler(i64 count, i64 chunk, int nthreads,
-                   ShardTopology topo = {});
+  /// `sharded` gives the pool one shard per thread of `layout`; else it
+  /// is the single pool. The chunk is the pool's grain.
+  DynamicScheduler(i64 count, const platform::TeamLayout& layout, i64 chunk,
+                   bool sharded);
 
   bool next(ThreadContext& tc, IterRange& out) override;
   void reset(i64 count) override;

@@ -14,18 +14,23 @@ namespace {
 
 std::unique_ptr<LoopScheduler> build(const ScheduleSpec& spec, i64 count,
                                      const platform::TeamLayout& layout,
-                                     const ShardTopology& topo) {
+                                     bool sharded) {
   // This is the cold construction path: the runtime layers front it with
   // a per-shape SchedulerCache (sched/scheduler_cache.h) that re-arms an
-  // idle instance via reset() per construct, so this switch (and the
-  // topology derivation) runs once per (shape, layout generation) — not
-  // once per loop.
+  // idle instance via reset() per construct, so this switch runs once per
+  // (shape, layout generation) — not once per loop.
+  //
+  // `sharded` reaches only the kinds whose takes the caller sizes:
+  // dynamic's chunk and the AID blocks, each taken from the caller's own
+  // shard. Static has no pool, and guided, trapezoid and weighted
+  // factoring size each chunk from the loop's remainder, so they hold
+  // libgomp's single work share, where that remainder is the whole loop's.
   switch (spec.kind) {
     case ScheduleKind::kStatic:
       return std::make_unique<StaticScheduler>(count, layout, spec.chunk);
     case ScheduleKind::kDynamic:
-      return std::make_unique<DynamicScheduler>(count, spec.effective_chunk(),
-                                                layout.nthreads(), topo);
+      return std::make_unique<DynamicScheduler>(
+          count, layout, spec.effective_chunk(), sharded);
     case ScheduleKind::kGuided:
       return std::make_unique<GuidedScheduler>(count, layout,
                                                spec.effective_chunk());
@@ -33,17 +38,18 @@ std::unique_ptr<LoopScheduler> build(const ScheduleSpec& spec, i64 count,
       return std::make_unique<AidBlockScheduler>(
           count, layout, spec.effective_chunk(), /*aid_fraction=*/1.0,
           spec.offline_sf,
-          spec.offline_sf ? "aid-static(offline-SF)" : "aid-static", topo);
+          spec.offline_sf ? "aid-static(offline-SF)" : "aid-static",
+          sharded);
     case ScheduleKind::kAidHybrid:
       AID_CHECK_MSG(spec.hybrid_percent > 0.0 && spec.hybrid_percent <= 100.0,
                     "AID-hybrid percentage must be in (0, 100]");
       return std::make_unique<AidBlockScheduler>(
           count, layout, spec.effective_chunk(), spec.hybrid_percent / 100.0,
-          spec.offline_sf, "aid-hybrid", topo);
+          spec.offline_sf, "aid-hybrid", sharded);
     case ScheduleKind::kAidDynamic:
       return std::make_unique<AidDynamicScheduler>(
           count, layout, spec.effective_chunk(), spec.major_chunk,
-          spec.aid_endgame, topo);
+          spec.aid_endgame, sharded);
     case ScheduleKind::kTrapezoid:
       return std::make_unique<TrapezoidScheduler>(count, layout, spec.chunk,
                                                   spec.major_chunk);
@@ -60,15 +66,14 @@ std::unique_ptr<LoopScheduler> make_scheduler(
     const ScheduleSpec& spec, i64 count,
     const platform::TeamLayout& layout) {
   // Single-pool arm: the simulator keeps modeling the paper's one libgomp
-  // work share. The empty topology IS the single-shard configuration.
-  return build(spec, count, layout, ShardTopology{});
+  // work share.
+  return build(spec, count, layout, /*sharded=*/false);
 }
 
 std::unique_ptr<LoopScheduler> make_sharded_scheduler(
     const ScheduleSpec& spec, i64 count,
     const platform::TeamLayout& layout) {
-  return build(spec, count, layout,
-               ShardTopology::for_schedule(spec.kind, layout));
+  return build(spec, count, layout, /*sharded=*/true);
 }
 
 }  // namespace aid::sched

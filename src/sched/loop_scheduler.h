@@ -82,11 +82,11 @@ class LoopScheduler {
     const ScheduleSpec& spec, i64 count, const platform::TeamLayout& layout);
 
 /// The runtime's arm (SchedulerCache's miss path, under the rt::WorkerPool
-/// engine of Team and leases and the GOMP surface): the same scheduler over
-/// a pool sharded by ShardTopology::for_schedule(spec.kind, layout), whose
-/// takes find the caller's home shard themselves (sharded_work_share.h).
-/// Shard membership therefore follows the layout the scheduler was built
-/// from: a new partition means a new scheduler, hence a new topology.
+/// engine of Team and leases and the GOMP surface): the same scheduler, and
+/// for dynamic and the three AID kinds a pool with one shard per thread of
+/// `layout`, shard s being thread s (sharded_work_share.h). The shards
+/// therefore follow the layout the scheduler was built from: a new
+/// partition means a new scheduler, hence new shards.
 [[nodiscard]] std::unique_ptr<LoopScheduler> make_sharded_scheduler(
     const ScheduleSpec& spec, i64 count, const platform::TeamLayout& layout);
 

@@ -14,7 +14,7 @@ LoopScheduler* SchedulerCache::acquire(const ScheduleSpec& spec, i64 count,
     e.busy = true;
     ++hits_;
     // reset() runs outside the lock: the instance is exclusively ours
-    // now, and re-arming a sharded pool touches every segment word.
+    // now, and re-arming a sharded pool touches every shard's line.
     // (Entry pointers stay valid across concurrent push_backs — the
     // instances live behind unique_ptrs.)
     LoopScheduler* sched = e.sched.get();

@@ -3,7 +3,7 @@
 //
 // Every work-sharing construct needs a LoopScheduler armed for its trip
 // count; building one from scratch costs ~5 small allocations (scheduler +
-// per-thread records + sharded pool segments), ~0.3-0.5 µs visible in the
+// per-thread records + sharded pool shards), ~0.3-0.5 µs visible in the
 // fork/join bench's dispatch_first_ns on sharded configs. Data-parallel
 // applications execute the same loops thousands of times, and schedulers
 // are documented reusable via reset() (loop_scheduler.h) — so the runtime
@@ -19,8 +19,8 @@
 // passed to reset(). The executing layout is not part of the key either:
 // a cache belongs to exactly one layout generation, and the owner calls
 // invalidate() whenever that layout changes (a pool repartition) — cached
-// instances bake in the old layout's thread count and shard topology, so
-// they must never survive it.
+// instances bake in the old layout's thread count and per-thread shards,
+// so they must never survive it.
 //
 // Up to kInstancesPerShape (= the runtime's chain-ring depth) *idle*
 // instances are retained per shape: a pipelined chain can hold that many
@@ -57,8 +57,8 @@ class SchedulerCache {
 
   /// A scheduler for `count` iterations under `spec` on `layout`: a cached
   /// idle instance of the same shape re-armed via reset(count), or a fresh
-  /// make_sharded_scheduler(spec, count, layout) on miss (which derives the
-  /// shard topology). The instance stays owned by the cache; the caller
+  /// make_sharded_scheduler(spec, count, layout) on miss (which lays out
+  /// the shards). The instance stays owned by the cache; the caller
   /// must release() it after the construct fully completed and its stats
   /// were read. The caller's layout must be the one this cache was
   /// (in)validated for.
@@ -74,7 +74,7 @@ class SchedulerCache {
   /// Drop every idle instance and doom the busy ones (destroyed on their
   /// release). Owners call this when the executing layout changes — a
   /// pool repartition — because cached instances bake in the old layout's
-  /// thread count and shard topology.
+  /// thread count and per-thread shards.
   void invalidate();
 
   /// Observability (tests, bench commentary): constructs served by a

@@ -4,8 +4,7 @@
 // threads) and the discrete-event simulator (virtual per-worker clock); the
 // ThreadContext carries everything a scheduler may consult about the calling
 // worker: its team id, the core type it is bound to, and a time source. It
-// carries no pool shard: a sharded pool finds the home shard of `tid` in
-// its own topology.
+// carries no pool shard: in a sharded pool, shard `tid` is the caller's.
 #pragma once
 
 #include "common/cancel.h"

@@ -17,8 +17,8 @@
 //    drained pool answers without an RMW and `next_` stays bounded —
 //    endgame stealing (every AID wait window hammers the pool until it
 //    drains) never grows it by `want` per failed probe. poison() sets
-//    the same flag. (ShardedWorkShare keeps a probe of its segment
-//    words; src/sched/README.md, "The segment word", says why);
+//    the same flag. (ShardedWorkShare keeps a probe of its shard
+//    words; src/sched/README.md, "The shard word", says why);
 //  * per-thread removal counters — the success count the paper's overhead
 //    metric is proportional to lives in one cache-line-padded slot per
 //    thread (aggregated in removals()). Each slot has one writer, its tid,

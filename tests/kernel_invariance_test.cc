@@ -55,11 +55,12 @@ INSTANTIATE_TEST_SUITE_P(
       return all_workloads()[static_cast<usize>(param_info.param)].name();
     });
 
-// The DataPar kernels also sweep the shard dimension, which a Team picks
-// from the schedule kind and the layout (ShardTopology::for_schedule):
+// The DataPar kernels also sweep the shard dimension, which a Team's
+// schedulers take from the schedule kind (sched::make_sharded_scheduler):
 // dynamic, aid-static and aid-dynamic arm one shard per thread on every
-// team, and dynamic(16) puts the pool's grain-16 seams between those
-// shards; guided holds a plain WorkShare on every team. The whole-suite ×
+// team of two or more threads, and dynamic(16) puts the pool's grain-16
+// seams between those shards; guided holds a plain WorkShare on every
+// team. The whole-suite ×
 // pool-mode coverage comes from the CI legs running this binary plainly
 // and under AID_POOL=1.
 TEST(DataParShardInvariance, SameChecksumUnderShardSettings) {

@@ -17,7 +17,6 @@
 
 #include "common/env.h"
 #include "common/spin_wait.h"
-#include "pipeline/loop_chain.h"
 #include "platform/platform.h"
 #include "pool/policy.h"
 #include "pool/pool_manager.h"
@@ -167,36 +166,6 @@ TEST(PoolManager, SingleCorePartitionRunsSerially) {
   run_exactly_once(b, 97, ScheduleSpec::dynamic(5));
   // No worker threads needed at all: both partitions are master-only.
   EXPECT_EQ(mgr.spawned_workers(), 0);
-}
-
-TEST(PoolManager, LeaseStatsAccumulateAcrossConstructs) {
-  PoolManager mgr(platform::generic_amp(2, 2, 2.0), test_config());
-  AppHandle app = mgr.register_app("metered");
-  EXPECT_EQ(app.lease_stats().loops, 0u);
-  EXPECT_EQ(app.lease_stats().chains, 0u);
-  EXPECT_EQ(app.lease_stats().busy_ns, 0);
-
-  for (int l = 0; l < 3; ++l)
-    run_exactly_once(app, 128, ScheduleSpec::dynamic(8));
-  pipeline::LoopChain chain;
-  chain.add(64, ScheduleSpec::dynamic(8),
-            [](i64, i64, const rt::WorkerInfo&) {});
-  chain.add(64, ScheduleSpec::dynamic(8),
-            [](i64, i64, const rt::WorkerInfo&) {});
-  app.run_chain(chain);
-
-  const LeaseStats s = app.lease_stats();
-  EXPECT_EQ(s.loops, 3u);
-  EXPECT_EQ(s.chains, 1u);  // one chain construct, not one per entry
-  EXPECT_GT(s.busy_ns, 0);
-
-  // A neighbour's lease meters independently.
-  AppHandle other = mgr.register_app("idle");
-  EXPECT_EQ(other.lease_stats().loops, 0u);
-  run_exactly_once(app, 64, ScheduleSpec::static_even());
-  EXPECT_EQ(app.lease_stats().loops, 4u);
-  EXPECT_EQ(other.lease_stats().loops, 0u);
-  EXPECT_GE(app.lease_stats().busy_ns, s.busy_ns);
 }
 
 TEST(PoolManager, RevokeWhileIdleCommitsImmediately) {

@@ -6,14 +6,14 @@
 //    exactly once, for every scheduler, across repeated dispatches on the
 //    same persistent worker team (generation-counter reuse, barrier reuse);
 //  * pool_removals counts only *successful* takes — for plain dynamic the
-//    count is exactly ceil(NI / chunk) on every topology: the pool's grain
+//    count is exactly ceil(NI / chunk) on every layout: the pool's grain
 //    is the chunk, so shard seams and bulk-migrated blocks never clamp a
 //    take short, and only the chunk holding the last iteration may be
 //    smaller. For every pool the count can never exceed NI (each success
 //    hands out >= 1 iteration), no matter how often drained probes hammer
 //    the endgame.
 //
-// Pool topologies covered (ShardTopology::for_schedule picks them):
+// Pool layouts covered (sched::make_sharded_scheduler picks them by kind):
 //  * BackToBackLoopsCoverExactlyOnce binds 1, 2, 4 and 8 big-first threads
 //    on a 4+4 AMP. At 2 and 4 threads the team sits on the big cores only,
 //    so it is uniform; at 8 threads it spans both core types. On every

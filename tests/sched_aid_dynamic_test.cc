@@ -147,7 +147,7 @@ TEST(AidDynamic, ResetReplaysIdentically) {
 }
 
 // An AidDynamicScheduler driven call by call on one shard per thread (the
-// topology the runtime arms), bound big-first, with m = 1, M = 5 and one
+// pool the runtime arms), bound big-first, with m = 1, M = 5 and one
 // manual clock per thread.
 class HandDrivenAidDynamic {
  public:
@@ -159,7 +159,7 @@ class HandDrivenAidDynamic {
       : layout_(platform, nthreads, platform::Mapping::kBigFirst),
         clocks_(static_cast<usize>(nthreads)),
         sched_(count, layout_, kMinor, kMajor, /*endgame_enabled=*/true,
-               ShardTopology::per_thread(layout_)) {}
+               /*sharded=*/true) {}
 
   /// `tid` ends its block after `elapsed` ns of its clock and calls next();
   /// the range it was handed (empty: its loop ended).
@@ -340,8 +340,7 @@ TEST(AidDynamic, UniformTeamReadsNoClockAndRecordsNothing) {
                                       platform::Mapping::kBigFirst);
     ASSERT_TRUE(layout.is_uniform());
     constexpr i64 kCount = 1000;
-    AidDynamicScheduler sched(kCount, layout, 1, 5, true,
-                              ShardTopology::per_thread(layout));
+    AidDynamicScheduler sched(kCount, layout, 1, 5, true, /*sharded=*/true);
     CountingClock clock;
     std::vector<int> hits(kCount, 0);
     std::vector<bool> done(static_cast<usize>(nthreads), false);

@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/time_source.h"
 #include "sched/sharded_work_share.h"
 #include "test_util.h"
 
@@ -159,27 +160,17 @@ TEST(ScheduleProperty, LabelsAreUniqueAndParsable) {
 // steals and bulk migrations interleave (src/sched/README.md documents the
 // migration protocol these tests hammer).
 
-ShardTopology two_shard_topo(int nthreads) {
-  // Low tids -> shard 1 (the "big" cluster under the BS mapping), high
-  // tids -> shard 0: shards shared by several threads each, a layout the
-  // pool supports though the runtime arms one shard per thread.
-  ShardTopology topo;
-  topo.home_of_tid.resize(static_cast<usize>(nthreads));
-  topo.capacity.assign(2, 0.0);
-  for (int t = 0; t < nthreads; ++t) {
-    const int s = t < nthreads / 2 ? 1 : 0;
-    topo.home_of_tid[static_cast<usize>(t)] = s;
-    topo.capacity[static_cast<usize>(s)] += s == 1 ? 3.0 : 1.0;
-  }
-  return topo;
+// 4 threads bound big-first on a 2+2 AMP with SF 3: shards 0 and 1 (the big
+// threads) have capacity 3, shards 2 and 3 capacity 1.
+platform::TeamLayout amp_2b2s() {
+  return {platform::generic_amp(2, 2, 3.0), 4, platform::Mapping::kBigFirst};
 }
 
 TEST(ShardedWorkShare, SingleShardFallbackMatchesWorkShare) {
-  // A one-shard topology (what one-thread teams and the simulator get)
-  // must be bit-for-bit the classic pool: same ranges, same removal
-  // counts, same drain behavior.
+  // An unsharded pool (what the simulator gets) must be bit-for-bit the
+  // classic pool: same ranges, same removal counts, same drain behavior.
   WorkShare classic(4);
-  ShardedWorkShare sharded(ShardTopology{}, 4);
+  ShardedWorkShare sharded(amp_2b2s(), /*sharded=*/false);
   classic.reset(103);
   sharded.reset(103);
   for (int i = 0;; ++i) {
@@ -192,124 +183,96 @@ TEST(ShardedWorkShare, SingleShardFallbackMatchesWorkShare) {
   EXPECT_EQ(classic.removals(), sharded.removals());
   EXPECT_EQ(sharded.removals(), sharded.local_removals());
   EXPECT_EQ(sharded.remote_removals(), 0);
-  EXPECT_EQ(sharded.nshards(), 1);
-}
-
-TEST(ShardedWorkShare, RejectsTopologyWithoutAValidHomePerThread) {
-  // The take path indexes home_of_tid by tid unclamped: the constructor
-  // must refuse a home outside [0, nshards) or a missing thread, loudly.
-  ShardTopology bad_home = two_shard_topo(4);
-  bad_home.home_of_tid[2] = 2;
-  EXPECT_DEATH(ShardedWorkShare(bad_home, 4), "home shard out of range");
-  EXPECT_DEATH(ShardedWorkShare(two_shard_topo(4), 5), "one home per thread");
 }
 
 TEST(ShardedWorkShare, SplitsProportionallyAndTakesStayHome) {
-  // 8 threads, shard 1 capacity 12 vs shard 0 capacity 4: shard 1 owns
-  // the top 3/4 of the space, and a take never leaves the home shard the
-  // topology gives its tid until that shard drains.
-  const ShardTopology topo = two_shard_topo(8);
-  ShardedWorkShare pool(topo, 8);
+  // Capacities 3:3:1:1 over 1600 iterations: shard s is tid s, and a take
+  // never leaves the caller's shard until that shard drains.
+  ShardedWorkShare pool(amp_2b2s(), /*sharded=*/true);
   pool.reset(1600);
-  EXPECT_EQ(pool.nshards(), 2);
-  EXPECT_EQ(pool.remaining_of_shard(0), 400);
-  EXPECT_EQ(pool.remaining_of_shard(1), 1200);
-  for (int tid = 0; tid < 8; ++tid)
-    EXPECT_EQ(pool.home_of(tid), topo.home_of_tid[static_cast<usize>(tid)]);
-  const IterRange big = pool.take(16, /*tid=*/0);  // home shard 1
-  EXPECT_EQ(big.begin, 400);  // shard 1 owns [400, 1600)
-  EXPECT_EQ(pool.remaining_of_shard(1), 1200 - 16);
-  const IterRange small = pool.take(16, /*tid=*/7);  // home shard 0
-  EXPECT_EQ(small.begin, 0);  // shard 0 owns [0, 400)
-  EXPECT_EQ(pool.remaining_of_shard(0), 400 - 16);
+  EXPECT_EQ(pool.remaining_of_shard(0), 600);
+  EXPECT_EQ(pool.remaining_of_shard(1), 600);
+  EXPECT_EQ(pool.remaining_of_shard(2), 200);
+  EXPECT_EQ(pool.remaining_of_shard(3), 200);
+  const IterRange big = pool.take(16, /*tid=*/1);
+  EXPECT_EQ(big.begin, 600);  // shard 1 owns [600, 1200)
+  EXPECT_EQ(pool.remaining_of_shard(1), 600 - 16);
+  const IterRange small = pool.take(16, /*tid=*/3);
+  EXPECT_EQ(small.begin, 1400);  // shard 3 owns [1400, 1600)
+  EXPECT_EQ(pool.remaining_of_shard(3), 200 - 16);
+  EXPECT_EQ(pool.remaining_of_shard(0), 600);
   EXPECT_EQ(pool.local_removals(), 2);
   EXPECT_EQ(pool.remote_removals(), 0);
 }
 
 TEST(ShardedWorkShare, DrainedHomeBulkMigratesThenStaysLocal) {
-  // Thread 7's home shard holds 40 iterations; once they are gone, the
-  // first foreign take must move a bulk block home (one migration) and
-  // every subsequent take stays home-local until that block drains too.
-  ShardTopology topo = two_shard_topo(8);
-  ShardedWorkShare pool(topo, 8);
-  pool.reset(400, {/*shard0=*/1.0, /*shard1=*/9.0});
-  ASSERT_EQ(pool.remaining_of_shard(0), 40);
+  // Thread 0's shard holds 100 iterations; once they are gone, a foreign
+  // take must move a bulk block home (one migration) and the takes after
+  // it stay home-local until that block drains too.
+  ShardedWorkShare pool(amp_2b2s(), /*sharded=*/true);
+  pool.reset(2800, {1.0, 9.0, 9.0, 9.0});
+  ASSERT_EQ(pool.remaining_of_shard(0), 100);
   IterRange r;
   i64 got = 0;
-  while (!(r = pool.take(4, /*tid=*/7)).empty()) got += r.size();
-  EXPECT_EQ(got, 400);  // one thread drains everything
-  EXPECT_GE(pool.rebalances(), 1);
-  EXPECT_GT(pool.rebalanced_iters(), 0);
+  while (!(r = pool.take(4, /*tid=*/0)).empty()) got += r.size();
+  EXPECT_EQ(got, 2800);  // one thread drains everything
+  EXPECT_GE(pool.rebalances(), 3);  // at least one block from each peer
   // Remote chunk removals happen only for thin victims; the bulk path
   // keeps the overwhelming majority of removals home-local.
-  EXPECT_GT(pool.local_removals(), pool.remote_removals());
+  EXPECT_GT(pool.local_removals(), 10 * pool.remote_removals());
 }
 
 TEST(ShardedWorkShare, OversizedLoopFallsBackToSinglePool) {
-  const ShardTopology topo = two_shard_topo(4);
-  ShardedWorkShare pool(topo, 4);
+  // Sharded, tid 1's first take starts at its own shard; from the single
+  // pool it gets the loop's first chunk.
+  ShardedWorkShare pool(amp_2b2s(), /*sharded=*/true);
   pool.reset(ShardedWorkShare::kPackedCountLimit);  // too big to pack
-  EXPECT_EQ(pool.nshards(), 1);
-  const IterRange r = pool.take(8, 0);
-  EXPECT_EQ(r.begin, 0);
+  EXPECT_EQ(pool.take(8, /*tid=*/1).begin, 0);
   pool.reset(64);  // and back: small loops re-arm the shards
-  EXPECT_EQ(pool.nshards(), 2);
+  EXPECT_EQ(pool.take(8, /*tid=*/1).begin, 24);  // shards 24:24:8:8
 }
 
-// ShardTopology::for_schedule is the one place the runtime picks a pool's
-// shard layout: per thread for dynamic and the three AID kinds; nothing to
-// shard for static, for the remainder-sized kinds (they hold a plain
-// WorkShare) or for a one-thread team.
-void expect_per_thread(const ShardTopology& topo,
-                       const platform::TeamLayout& layout) {
-  const int n = layout.nthreads();
-  if (n == 1) {
-    EXPECT_TRUE(topo.home_of_tid.empty());
-    EXPECT_EQ(topo.nshards(), 1);
-    return;
-  }
-  ASSERT_EQ(topo.nshards(), n);
-  for (int tid = 0; tid < n; ++tid) {
-    EXPECT_EQ(topo.home_of_tid[static_cast<usize>(tid)], tid);
-    EXPECT_DOUBLE_EQ(topo.capacity[static_cast<usize>(tid)],
-                     layout.speed_of(tid));
-  }
-}
-
-TEST(ShardTopology, ForSchedulePicksTheLayoutByKind) {
+// make_sharded_scheduler shards the pool of the kinds whose takes the
+// caller sizes — dynamic and the three AID kinds — one shard per thread.
+// Static has no pool, and guided, trapezoid and weighted factoring hold one
+// work share. So when tid 0 alone drains a loop, it must steal or
+// bulk-migrate from its peers' shards under the first four kinds, and
+// never does under the others or on a one-thread team.
+TEST(MakeShardedScheduler, ShardsOnlyTheCallerSizedKinds) {
   const platform::Platform sym = platform::symmetric(4);
   const platform::Platform amp = platform::generic_amp(2, 2, 2.0);
-  const platform::TeamLayout layouts[] = {
-      {sym, 4, platform::Mapping::kBigFirst},
-      {amp, 4, platform::Mapping::kBigFirst},
-      {amp, 2, platform::Mapping::kBigFirst},  // both on big cores: uniform
-      {amp, 1, platform::Mapping::kBigFirst},
+  const ScheduleSpec per_thread[] = {
+      ScheduleSpec::dynamic(1), ScheduleSpec::aid_static(1),
+      ScheduleSpec::aid_hybrid(1, 80.0), ScheduleSpec::aid_dynamic(1, 5)};
+  const ScheduleSpec single[] = {
+      ScheduleSpec::static_even(), ScheduleSpec::guided(1),
+      ScheduleSpec::trapezoid(), ScheduleSpec::weighted_factoring()};
+  ManualTimeSource clock;
+  const auto cross_shard_ops = [&](const ScheduleSpec& spec,
+                                   const platform::TeamLayout& layout) {
+    SCOPED_TRACE(spec.display());
+    auto sched = make_sharded_scheduler(spec, 4096, layout);
+    ThreadContext tc{.tid = 0,
+                     .core_type = layout.core_type_of(0),
+                     .speed = layout.speed_of(0),
+                     .time = &clock};
+    IterRange r;
+    while (sched->next(tc, r)) clock.advance(100);
+    const SchedulerStats s = sched->stats();
+    return s.steal_removals + s.shard_rebalances;
   };
-  const ScheduleKind per_thread[] = {
-      ScheduleKind::kDynamic, ScheduleKind::kAidStatic,
-      ScheduleKind::kAidHybrid, ScheduleKind::kAidDynamic};
-  // No pool (static), or libgomp's single work share (the related-work
-  // baselines size chunks from the whole loop's remainder).
-  const ScheduleKind single[] = {ScheduleKind::kStatic, ScheduleKind::kGuided,
-                                 ScheduleKind::kTrapezoid,
-                                 ScheduleKind::kWeightedFactoring};
-  for (const platform::TeamLayout& layout : layouts) {
+  for (const platform::TeamLayout& layout :
+       {platform::TeamLayout(sym, 4, platform::Mapping::kBigFirst),
+        platform::TeamLayout(amp, 4, platform::Mapping::kBigFirst)}) {
     SCOPED_TRACE(layout.describe());
-    for (const ScheduleKind kind : single) {
-      SCOPED_TRACE(to_string(kind));
-      const ShardTopology topo = ShardTopology::for_schedule(kind, layout);
-      EXPECT_EQ(topo.nshards(), 1);
-      EXPECT_TRUE(topo.home_of_tid.empty());
-    }
-    for (const ScheduleKind kind : per_thread) {
-      SCOPED_TRACE(to_string(kind));
-      expect_per_thread(ShardTopology::for_schedule(kind, layout), layout);
-    }
+    for (const ScheduleSpec& spec : per_thread)
+      EXPECT_GT(cross_shard_ops(spec, layout), 0);
+    for (const ScheduleSpec& spec : single)
+      EXPECT_EQ(cross_shard_ops(spec, layout), 0);
   }
-  // The layouts above cover uniform teams and an AMP.
-  EXPECT_TRUE(layouts[0].is_uniform());
-  EXPECT_FALSE(layouts[1].is_uniform());
-  EXPECT_TRUE(layouts[2].is_uniform());
+  const platform::TeamLayout one(amp, 1, platform::Mapping::kBigFirst);
+  for (const ScheduleSpec& spec : per_thread)
+    EXPECT_EQ(cross_shard_ops(spec, one), 0);
 }
 
 // The randomized concurrent harness: real threads drain one pool with
@@ -374,26 +337,21 @@ IterRange random_take(ShardedWorkShare& pool, int tid,
 }
 
 TEST(ShardedWorkShareStress, ExactlyOnceUnderSteals) {
-  // Per-core-type shapes: 2..3 shards shared by 2..8 threads, armed with
-  // random skewed splits.
+  // Teams of 2..8 threads, one shard each, armed with random skewed
+  // splits: the light shards drain first, and their threads cut the heavy
+  // ones, at times two thieves the same victim at once.
+  const platform::Platform amp = platform::generic_amp(4, 4, 3.0);
   std::mt19937_64 rng(0xA1DC0FFEEULL);
   i64 migrations = 0;
   for (int round = 0; round < 10; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     const int nthreads = 2 + static_cast<int>(rng() % 7);       // 2..8
     const i64 count = 1 + static_cast<i64>(rng() % 6000);       // 1..6000
-    const int nshards = 2 + static_cast<int>(rng() % 2);        // 2..3
 
-    ShardTopology topo;
-    topo.home_of_tid.resize(static_cast<usize>(nthreads));
-    topo.capacity.assign(static_cast<usize>(nshards), 0.0);
-    for (int t = 0; t < nthreads; ++t) {
-      const int s = t % nshards;
-      topo.home_of_tid[static_cast<usize>(t)] = s;
-      topo.capacity[static_cast<usize>(s)] += 1.0;
-    }
-    ShardedWorkShare pool(topo, nthreads);
-    std::vector<double> split(static_cast<usize>(nshards));
+    ShardedWorkShare pool(
+        platform::TeamLayout(amp, nthreads, platform::Mapping::kBigFirst),
+        /*sharded=*/true);
+    std::vector<double> split(static_cast<usize>(nthreads));
     for (auto& w : split) w = 1.0 + static_cast<double>(rng() % 8);
     pool.reset(count, split);
     drain_exactly_once(pool, nthreads, count, rng(),
@@ -406,17 +364,15 @@ TEST(ShardedWorkShareStress, ExactlyOnceUnderSteals) {
   // actually have raced the takes, or this harness checks only takes.
   EXPECT_GT(migrations, 0);
 
-  // The runtime's dynamic/AID-static/AID-hybrid shape: one shard per
-  // thread, capacity = nominal speed, 8 threads on a 3x AMP. The low-
-  // capacity shards drain first and their threads must bulk-migrate.
-  const platform::TeamLayout layout(platform::generic_amp(4, 4, 3.0), 8,
-                                    platform::Mapping::kBigFirst);
-  const ShardTopology per_thread = ShardTopology::per_thread(layout);
+  // The runtime's arming: capacity = nominal speed, 8 threads on a 3x
+  // AMP. The low-capacity shards drain first and their threads must
+  // bulk-migrate.
+  const platform::TeamLayout layout(amp, 8, platform::Mapping::kBigFirst);
   migrations = 0;
   for (int round = 0; round < 10; ++round) {
     SCOPED_TRACE("per-thread round " + std::to_string(round));
     const i64 count = 64 + static_cast<i64>(rng() % 6000);
-    ShardedWorkShare pool(per_thread, 8);
+    ShardedWorkShare pool(layout, /*sharded=*/true);
     pool.reset(count);
     drain_exactly_once(pool, 8, count, rng(),
                        [&pool](int t, std::mt19937_64& local) {
@@ -435,13 +391,12 @@ TEST(ShardedWorkShareStress, GrainKeepsChunksWholeUnderSteals) {
   constexpr i64 kGrain = 4;
   const platform::TeamLayout layout(platform::generic_amp(4, 4, 3.0), 8,
                                     platform::Mapping::kBigFirst);
-  const ShardTopology topo = ShardTopology::per_thread(layout);
   std::mt19937_64 rng(0x6A1A1ULL);
   i64 migrations = 0;
   for (int round = 0; round < 10; ++round) {
     const i64 count = 64 + static_cast<i64>(rng() % 6000);
     SCOPED_TRACE("count " + std::to_string(count));
-    ShardedWorkShare pool(topo, 8, kGrain);
+    ShardedWorkShare pool(layout, /*sharded=*/true, kGrain);
     pool.reset(count);
     const auto taken = drain_exactly_once(
         pool, 8, count, rng(),
